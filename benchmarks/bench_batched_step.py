@@ -1,12 +1,13 @@
 """Benchmark — batched table-driven engine vs the step-by-step loop.
 
-The batched engine (:mod:`repro.core.fast_simulator`) compiles a protocol's
-reachable state space into a dense integer transition table and replays
-scheduler draws in blocks, replacing one ``protocol.transition`` Python call
-(plus dataclass copies, equality checks, metrics dict updates, and the
-observer loop) per interaction with a couple of list lookups.  This benchmark
-measures the resulting steps/second on the fully-encodable constant-state
-baselines and asserts the engine-equivalence contract while it is at it.
+The batched engine (:mod:`repro.core.fast_simulator`) codes states as
+integers and fills a transition table lazily, replaying scheduler draws in
+blocks: one ``protocol.transition`` Python call (plus dataclass copies,
+equality checks, metrics dict updates, and the observer loop) per
+interaction becomes one dict lookup for every pair after its first
+occurrence.  This benchmark measures the resulting steps/second on the
+constant-state baselines and asserts the engine-equivalence contract while
+it is at it.
 
 Protocol choice: the Chen-Chen baseline named by Table 1 is *analytic* in
 this repository (its super-exponential convergence cannot be simulated, see
@@ -24,7 +25,6 @@ from __future__ import annotations
 import time
 
 from repro.core.configuration import random_configuration
-from repro.core.encoding import StateEncoder
 from repro.core.fast_simulator import BatchedSimulation
 from repro.core.rng import RandomSource
 from repro.core.simulator import Simulation
@@ -35,8 +35,8 @@ from repro.topology.ring import DirectedRing
 
 #: Interactions per timed run.  A convergence trial at n~1024 executes
 #: millions of interactions (the paper's bound is Theta(n^2 log n)), so
-#: steady-state steps/sec is the number that matters; the one-off encoder
-#: compile is timed and reported separately.
+#: steady-state steps/sec is the number that matters; the table fills
+#: inside the timed run.
 STEPS = 300_000
 
 SEED = 20230717
@@ -45,7 +45,7 @@ SEED = 20230717
 def _measure(protocol, n: int, steps: int = STEPS):
     """Steady-state throughput of both engines at size ``n``.
 
-    Returns ``(step_rate, batched_rate, speedup, compile_seconds)``.  Both
+    Returns ``(step_rate, batched_rate, speedup)``.  Both
     engines run from the same initial configuration and scheduler seed, so
     their final configurations must be identical — asserted below, making
     every benchmark run a cross-check too.
@@ -58,18 +58,14 @@ def _measure(protocol, n: int, steps: int = STEPS):
     step_sim.run(steps)
     step_rate = steps / (time.perf_counter() - started)
 
-    started = time.perf_counter()
-    encoder = StateEncoder.build(protocol, initial.states())
-    compile_seconds = time.perf_counter() - started
-    batched = BatchedSimulation(protocol, ring, initial, rng=SEED + 1,
-                                encoder=encoder)
+    batched = BatchedSimulation(protocol, ring, initial, rng=SEED + 1)
     started = time.perf_counter()
     batched.run(steps)
     batched_rate = steps / (time.perf_counter() - started)
 
     assert batched.states() == step_sim.states(), "engines diverged"
     assert batched.metrics == step_sim.metrics
-    return step_rate, batched_rate, batched_rate / step_rate, compile_seconds
+    return step_rate, batched_rate, batched_rate / step_rate
 
 
 def test_batched_engine_speedup_at_n1024():
@@ -81,14 +77,14 @@ def test_batched_engine_speedup_at_n1024():
     rows = []
     speedups = {}
     for name, protocol, n in cases:
-        step_rate, batched_rate, speedup, compile_seconds = _measure(protocol, n)
+        step_rate, batched_rate, speedup = _measure(protocol, n)
         speedups[name] = speedup
         rows.append((name, n, f"{step_rate:,.0f}", f"{batched_rate:,.0f}",
-                     f"{speedup:.1f}x", f"{compile_seconds * 1000:.0f}ms"))
+                     f"{speedup:.1f}x"))
     print()
     print(format_table(
         headers=["protocol", "n", "step (steps/s)", "batched (steps/s)",
-                 "speedup", "table compile"],
+                 "speedup"],
         rows=rows,
         title=f"batched engine vs step loop ({STEPS:,} interactions/run)",
     ))
@@ -106,7 +102,7 @@ def test_batched_engine_smoke_gate_at_n512():
     kept cheap and with a deliberately soft bound so a loaded CI runner
     cannot flake it — the 5x assertion above carries the real requirement.
     """
-    step_rate, batched_rate, speedup, _ = _measure(FischerJiangProtocol(), 512)
+    step_rate, batched_rate, speedup = _measure(FischerJiangProtocol(), 512)
     print(f"\nn=512 smoke gate: step {step_rate:,.0f} steps/s, "
           f"batched {batched_rate:,.0f} steps/s ({speedup:.1f}x)")
     assert speedup >= 1.0, (

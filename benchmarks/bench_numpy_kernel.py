@@ -56,8 +56,7 @@ _ENGINES = {
     "step": lambda protocol, population, initial, encoder, seed:
         Simulation(protocol, population, initial, rng=seed),
     "batched": lambda protocol, population, initial, encoder, seed:
-        BatchedSimulation(protocol, population, initial, rng=seed,
-                          encoder=encoder),
+        BatchedSimulation(protocol, population, initial, rng=seed),
     "numpy": lambda protocol, population, initial, encoder, seed:
         NumpySimulation(protocol, population, initial, rng=seed,
                         encoder=encoder),

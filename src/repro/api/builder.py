@@ -302,8 +302,8 @@ class ExperimentBuilder:
 
         ``"auto"`` picks the fastest applicable tier — the vectorized numpy
         engine when numpy is installed and the protocol's state space
-        enumerates, the batched table engine when it enumerates without
-        numpy, the step loop otherwise; trial outcomes are bit-identical on
+        enumerates, the lazily filled batched table otherwise (the step loop
+        only for specs that need it); trial outcomes are bit-identical on
         every tier.  Validated against the spec immediately, so e.g. forcing
         a table tier onto the oracle-backed ``fischer-jiang`` (or ``numpy``
         without numpy installed) fails here rather than mid-run.

@@ -30,8 +30,8 @@ class ExperimentConfig:
     ``engine`` selects the simulation engine for every trial: ``"auto"``
     (default) picks the fastest applicable tier — the vectorized ``numpy``
     engine when numpy is installed and the protocol's state space can be
-    enumerated, the batched table-driven engine when it enumerates without
-    numpy, the step loop otherwise; ``"step"`` forces the step loop;
+    enumerated, the lazily filled batched table otherwise (the step loop
+    only for specs that need it); ``"step"`` forces the step loop;
     ``"batched"``/``"numpy"`` require that tier and error when it does not
     apply.  Every engine produces bit-identical trial results for the same
     seed.

@@ -35,7 +35,7 @@ Linux, and forced below when available).
 
 Shared encoder compilation
 --------------------------
-Table-driven trials used to recompile the same ``|Q|^2`` transition table
+Numpy-tier trials used to recompile the same ``|Q|^2`` transition table
 once per trial.  :func:`shared_encoder` compiles it once per
 ``(spec, n, config)`` batch into a small process-local cache, seeded to
 cover the batch's adversarial families (see
@@ -208,8 +208,9 @@ def shared_encoder(spec_name: str, n: int, config: ExperimentConfig):
     """The batch-shared compiled encoder for ``(spec, n, config)``.
 
     Returns the compiled :class:`StateEncoder`, ``None`` when the batch is
-    established not to enumerate (the auto engine's step fallback applies to
-    every trial), or :data:`UNSHARED` when no batch-level seed states exist
+    established not to enumerate (the auto engine then runs every trial on
+    the lazily filled batched table), or :data:`UNSHARED` when no
+    batch-level seed states exist
     (base-class ``canonical_states``) — then each trial compiles from its
     own initial configuration, as it always did.  Entries are cached so
     repeated lookups stay O(1), with numpy tables materialized eagerly when
@@ -248,7 +249,12 @@ def warm_shared_encoders(tasks: Sequence[TrialTask]) -> None:
     Called by :func:`run_trials` in the parent before the pool is created:
     under the ``fork`` start method the workers inherit the compiled tables,
     converting an O(trials * |Q|^2) compilation cost into O(|Q|^2) per batch.
+    Without numpy nothing reads the tables, so nothing is compiled.
     """
+    from repro.core.fast_simulator import numpy_available
+
+    if not numpy_available():
+        return
     seen = set()
     for task in tasks:
         key = (task.spec_name, task.population_size, task.config.cache_key())
@@ -261,13 +267,13 @@ def execute_trial(task: TrialTask) -> TrialResult:
     """Run one trial to its stop predicate (serial path and worker entry point).
 
     The engine comes from ``task.config.engine``: ``"auto"`` picks the
-    fastest tier whose requirements the protocol meets (numpy, batched, step
+    fastest tier whose requirements the protocol meets (numpy, else batched
     — see :meth:`repro.api.registry.ProtocolSpec.build_simulation`).  Either
     way the trial's random streams — and therefore its step count and
     outcome — are bit-identical.
     """
     from repro.api.registry import get_spec
-    from repro.core.fast_simulator import BatchedSimulation, NumpySimulation
+    from repro.core.fast_simulator import numpy_available
 
     spec = get_spec(task.spec_name)
     protocol = spec.build_protocol(task.population_size, task.config)
@@ -278,15 +284,17 @@ def execute_trial(task: TrialTask) -> TrialResult:
         population=population,
     )
     engine = task.config.engine
+    mode = spec.resolve_engine(engine)
     encoder = None
-    if spec.resolve_engine(engine) != "step":
+    if mode == "numpy" or (mode == "auto" and numpy_available()):
+        # Only the numpy tier reads a table compiled up front.
         encoder = shared_encoder(task.spec_name, task.population_size, task.config)
         if encoder is UNSHARED:
             encoder = None  # no batch seeds: compile per trial, as always
-        elif encoder is None and spec.resolve_engine(engine) == "auto":
-            # The batch-level compilation already established that the state
-            # space does not enumerate; skip re-proving it on every trial.
-            engine = "step"
+        elif encoder is None and mode == "auto":
+            # The batch-level lookup already established that the numpy tier
+            # does not apply; skip re-proving it on every trial.
+            engine = "batched"
     if task.config.scenario:
         # Phased scenario: the runtime replays phase 0 exactly like the
         # legacy path below (same ingredients, same streams) and then
@@ -318,18 +326,12 @@ def execute_trial(task: TrialTask) -> TrialResult:
         check_interval=task.config.check_interval,
         check_backoff=task.config.check_backoff,
     )
-    if isinstance(simulation, NumpySimulation):
-        engine_name = "numpy"
-    elif isinstance(simulation, BatchedSimulation):
-        engine_name = "batched"
-    else:
-        engine_name = "step"
     return TrialResult(
         trial=task.trial,
         steps=run.steps,
         converged=run.satisfied,
         wall_time=time.perf_counter() - started,
-        engine=engine_name,
+        engine=simulation.tier,
         protocol_name=protocol.name,
     )
 

@@ -37,7 +37,6 @@ from repro.api.config import ExperimentConfig
 from repro.api.executor import BatchRequest, TrialResult, batch_tasks, run_trials
 from repro.core.configuration import Configuration, random_configuration
 from repro.core.encoding import StateEncoder
-from repro.core.errors import StateSpaceError
 from repro.core.fast_simulator import (
     ENGINES,
     BatchedSimulation,
@@ -141,11 +140,12 @@ class ProtocolSpec:
     analytic_model: Optional[AnalyticModel] = None
     reference: str = ""
     #: Engine policy for this protocol: ``"auto"`` (fastest applicable tier —
-    #: numpy, then batched, then the step loop — by encodability and numpy
-    #: availability), ``"step"`` (the protocol needs the step engine — e.g.
-    #: an oracle-augmented simulation that inspects the global configuration
-    #: every step), or ``"batched"``/``"numpy"`` (that tier must apply;
-    #: failure is an error rather than a silent fallback).
+    #: numpy when the state space enumerates and numpy is installed, the
+    #: lazily filled batched table otherwise), ``"step"`` (the protocol needs
+    #: the step engine — e.g. an oracle-augmented simulation that inspects
+    #: the global configuration every step), or ``"batched"``/``"numpy"``
+    #: (that tier must apply; failure is an error rather than a silent
+    #: fallback).
     simulation_mode: str = "auto"
     #: Model-checking policy (see :class:`CheckPolicy`); ``None`` means
     #: the checker's defaults — every claim checked on every supported
@@ -361,12 +361,12 @@ class ProtocolSpec:
         """Build the simulation for one trial on the resolved engine.
 
         ``auto`` prefers the fastest applicable tier: the vectorized numpy
-        engine when numpy is installed and the protocol encodes, the batched
-        table engine when it encodes without numpy, the step loop otherwise.
-        ``encoder`` may carry a batch-shared compiled encoder (see
-        :func:`repro.api.executor.shared_encoder`); it is used only when it
-        covers this trial's initial configuration, with a per-trial build as
-        the fallback, so sharing never changes results.
+        engine when numpy is installed and the protocol's state space
+        enumerates, the lazily filled batched table otherwise.
+        ``encoder`` may carry a batch-shared compiled encoder for the numpy
+        tier (see :func:`repro.api.executor.shared_encoder`); it is used only
+        when it covers this trial's initial configuration, with a per-trial
+        build as the fallback, so sharing never changes results.
 
         Any encoder is built *before* a draw is taken from ``rng``, and all
         engine factories consume exactly one ``rng.randint`` in the same
@@ -393,30 +393,20 @@ class ProtocolSpec:
                 return Simulation(protocol, population, initial,
                                   scheduler=scheduler)
             return self.simulation_factory(protocol, population, initial, rng)
-        if encoder is not None and not encoder.covers(initial.states()):
-            encoder = None  # shared table misses a state: recompile per trial
-        if mode == "auto":
-            if encoder is None:
-                encoder = StateEncoder.try_build(protocol, initial.states())
-            if encoder is None:
+        if mode != "batched" and numpy_available():
+            if encoder is None or not encoder.covers(initial.states()):
+                build = StateEncoder.build if mode == "numpy" else StateEncoder.try_build
+                encoder = build(protocol, initial.states())
+            if encoder is not None:
                 if scheduler is not None:
-                    return Simulation(protocol, population, initial,
-                                      scheduler=scheduler)
-                return self.simulation_factory(protocol, population, initial, rng)
-            mode = "numpy" if numpy_available() else "batched"
-        elif encoder is None:
-            encoder = StateEncoder.build(protocol, initial.states())
-        if mode == "numpy":
-            if scheduler is not None:
-                return NumpySimulation(protocol, population, initial,
-                                       scheduler=scheduler, encoder=encoder)
-            return numpy_simulation_factory(protocol, population, initial, rng,
-                                            encoder=encoder)
+                    return NumpySimulation(protocol, population, initial,
+                                           scheduler=scheduler, encoder=encoder)
+                return numpy_simulation_factory(protocol, population, initial, rng,
+                                                encoder=encoder)
         if scheduler is not None:
             return BatchedSimulation(protocol, population, initial,
-                                     scheduler=scheduler, encoder=encoder)
-        return batched_simulation_factory(protocol, population, initial, rng,
-                                          encoder=encoder)
+                                     scheduler=scheduler)
+        return batched_simulation_factory(protocol, population, initial, rng)
 
 
 # ---------------------------------------------------------------------- #
@@ -479,11 +469,11 @@ def run_spec(
     configuration from ``family`` (the spec's default when omitted), and run
     until the spec's stop predicate holds.  ``workers`` > 1 fans the trials
     out over processes with identical results (see :mod:`repro.api.executor`).
-    ``engine`` overrides ``config.engine`` (default ``"auto"``: the batched
-    table-driven engine whenever the protocol encodes, the step loop
-    otherwise — trial outcomes are bit-identical either way).  ``store`` (a
-    :class:`repro.store.ResultsStore`) serves cached trials from disk and
-    persists fresh ones, again with bit-identical results.
+    ``engine`` overrides ``config.engine`` (default ``"auto"``: the numpy
+    tier when the protocol encodes and numpy is installed, the lazily filled
+    batched table otherwise — trial outcomes are bit-identical either way).
+    ``store`` (a :class:`repro.store.ResultsStore`) serves cached trials
+    from disk and persists fresh ones, again with bit-identical results.
     """
     spec = get_spec(name)
     config = config or ExperimentConfig()

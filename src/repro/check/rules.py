@@ -50,8 +50,7 @@ the flagged line (comma-separate to allow several rules).  Suppressions
 are deliberate: each one marks an audited exception.  The audited allow
 inventory:
 
-* REP001 — the state encoder's hashability *probe* (the value is never
-  used) and ``Configuration.__hash__`` (in-process membership only).
+* REP001 — ``Configuration.__hash__`` (in-process membership only).
 * REP004 — the store GC's record-age arithmetic (ages are policy, not
   identity).  ``repro.fabric`` is in REP004 scope since PR 10: its
   lease and retry timing deliberately uses ``time.monotonic()`` /
@@ -63,7 +62,10 @@ inventory:
   (protocol, population, encoder, arc list, compiled flat tables, and
   layout constants — all invariant for the simulation's lifetime; the
   mutable run state they parameterize — codes, stream position,
-  counters — is exactly what ``snapshot()`` captures).
+  counters — is exactly what ``snapshot()`` captures), plus
+  ``BatchedSimulation``'s lazy table, its index, the coded states, their
+  leader flags and the rebuild point: caches of a pure function, which a
+  restore re-codes from the captured states.
 """
 
 from __future__ import annotations

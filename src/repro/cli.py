@@ -161,9 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation engine: auto picks the fastest applicable "
                             "tier — the vectorized numpy engine when numpy is "
                             "installed and the protocol's state space enumerates, "
-                            "the batched table-driven engine when it enumerates "
-                            "without numpy, and the step loop otherwise; results "
-                            "are bit-identical on every tier (default: auto)")
+                            "otherwise the batched engine's lazily filled "
+                            "transition table, and the step loop only for "
+                            "oracle specs; results are bit-identical on every "
+                            "tier (default: auto)")
     sweep.add_argument("--check-backoff", action="store_true",
                        help="double the stop-predicate check interval after every "
                             "unsatisfied check (geometric backoff, capped), trading "
@@ -1197,9 +1198,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(error))
         return 2  # pragma: no cover - parser.error raises SystemExit
     except StateSpaceError as error:
-        # Only reachable with --engine batched forced onto a protocol whose
+        # Only reachable with --engine numpy forced onto a protocol whose
         # state space cannot be enumerated: a usage problem, not a crash.
-        parser.error(f"{error} (drop --engine batched to use the fallback)")
+        parser.error(f"{error} (--engine batched fills its table lazily and "
+                     "needs no enumeration)")
         return 2  # pragma: no cover - parser.error raises SystemExit
     # Commands that gate CI (`check`) report their verdict as an exit code
     # alongside the payload; everything else exits 0 on success.

@@ -11,9 +11,11 @@ redundant: there are only ``|Q|^2`` distinct interactions.  A
 :class:`StateEncoder` enumerates the reachable state space once (closure of
 the seed states under the transition function), assigns each state an integer
 code, and compiles the transition function into dense flat tables indexed by
-``initiator_code * |Q| + responder_code``.  The batched engine
-(:mod:`repro.core.fast_simulator`) then replays interactions with a couple of
-list lookups per step instead of a protocol call.
+``initiator_code * |Q| + responder_code``.  The numpy engine
+(:mod:`repro.core.fast_simulator`) then replays interactions as vectorized
+gathers through those tables instead of one protocol call per step.  (The
+batched engine fills its own table lazily and needs no enumeration; it codes
+states with the same :func:`state_key`.)
 
 The enumerate-or-fallback contract
 ----------------------------------
@@ -27,13 +29,17 @@ never step outside it — or raises :class:`StateSpaceError`:
 * during enumeration, when the closure grows past ``max_states``.
 
 Callers that want the fallback rather than the error use
-:meth:`StateEncoder.try_build` and drop to the step engine on ``None``.
+:meth:`StateEncoder.try_build` and drop to the lazily filled batched table
+on ``None``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Generic, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+import operator
+from typing import (
+    Callable, Dict, Generic, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.core.errors import InvalidParameterError, InvalidStateError, StateSpaceError
 from repro.core.protocol import Protocol
@@ -48,26 +54,44 @@ StateT = TypeVar("StateT")
 DEFAULT_MAX_STATES = 512
 
 
-def _state_key(state: object) -> Hashable:
+#: One key function per state class, built on first sight of the class.
+_KEY_FUNCTIONS: Dict[type, Callable[[object], Hashable]] = {}
+
+
+def _itself(state: Hashable) -> Hashable:
+    return state
+
+
+def state_key(state: object) -> Hashable:
     """A hashable identity for ``state`` consistent with its ``__eq__``.
 
-    Hashable states are used directly.  The mutable dataclass states of this
+    Hashable states are their own key.  The mutable dataclass states of this
     package (``__slots__``, ``eq=True``) are unhashable, so they are keyed by
-    ``(type, astuple)`` — identical to dataclass equality, which is what the
-    step engine's ``changed`` comparison uses.
+    ``(class, *compare-fields)``, read by one ``operator.attrgetter`` —
+    equal exactly when dataclass equality, which the step engine's
+    ``changed`` comparison uses, says so.
     """
-    try:
-        # Hashability probe only: the value is discarded, so the process
-        # salt cannot leak into any derived seed or key.
-        hash(state)  # repro: allow[REP001]
-    except TypeError:
-        if dataclasses.is_dataclass(state):
-            return (type(state), dataclasses.astuple(state))
-        raise StateSpaceError(
-            f"state {state!r} is neither hashable nor a dataclass; "
-            "the encoder cannot key it"
-        ) from None
-    return state
+    cls = state.__class__
+    key = _KEY_FUNCTIONS.get(cls)
+    if key is None:
+        if cls.__hash__ is not None:
+            key = _itself
+        elif dataclasses.is_dataclass(cls):
+            names = [field.name for field in dataclasses.fields(cls) if field.compare]
+            key = operator.attrgetter("__class__", *names)
+        else:
+            raise StateSpaceError(
+                f"states of type {cls.__name__} are neither hashable nor "
+                "dataclasses; the encoder cannot key them"
+            )
+        _KEY_FUNCTIONS[cls] = key
+    return key(state)
+
+
+def fresh_copy(state: StateT) -> StateT:
+    """``state``'s own ``copy()`` when it has one (mutable states), else itself."""
+    copy = getattr(state, "copy", None)
+    return copy() if copy is not None else state
 
 
 class StateEncoder(Generic[StateT]):
@@ -146,7 +170,7 @@ class StateEncoder(Generic[StateT]):
         index: Dict[Hashable, int] = {}
 
         def intern(state: StateT) -> int:
-            key = _state_key(state)
+            key = state_key(state)
             code = index.get(key)
             if code is not None:
                 return code
@@ -228,7 +252,7 @@ class StateEncoder(Generic[StateT]):
 
     def encode(self, state: StateT) -> int:
         """Integer code of ``state``; unknown states raise :class:`InvalidStateError`."""
-        code = self._index.get(_state_key(state))
+        code = self._index.get(state_key(state))
         if code is None:
             raise InvalidStateError(
                 f"state {state!r} is outside the enumerated state space of "
@@ -249,13 +273,11 @@ class StateEncoder(Generic[StateT]):
         never step outside it).
         """
         index = self._index
-        return all(_state_key(state) in index for state in states)
+        return all(state_key(state) in index for state in states)
 
     def decode(self, code: int) -> StateT:
         """A state equal to the one ``code`` stands for (fresh copy if mutable)."""
-        state = self._states[code]
-        copy = getattr(state, "copy", None)
-        return copy() if copy is not None else state
+        return fresh_copy(self._states[code])
 
     def decode_all(self, codes: Iterable[int]) -> List[StateT]:
         """Fresh-copy decoding of a whole configuration, in agent order."""

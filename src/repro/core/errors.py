@@ -59,9 +59,11 @@ class StateSpaceError(ReproError, RuntimeError):
 
     Raised by :class:`repro.core.encoding.StateEncoder` when the reachable
     state space exceeds the enumeration cap (or the protocol's declared
-    ``state_space_size`` bound already does).  The batched engine treats this
-    as "fall back to the step-by-step simulator", so the error is a routine
-    control signal for large-state protocols such as ``P_PL``.
+    ``state_space_size`` bound already does), or when a state is neither
+    hashable nor a dataclass.  Engine selection treats the first case as
+    "use the lazily filled batched table instead of the numpy tier", so the
+    error is a routine control signal for large-state protocols such as
+    ``P_PL``.
     """
 
 

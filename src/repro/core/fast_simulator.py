@@ -1,21 +1,28 @@
-"""The batched simulation engine: table-driven stepping over integer codes.
+"""The table engines: interactions replayed over integer state codes.
 
 :class:`BatchedSimulation` is a drop-in replacement for
-:class:`~repro.core.simulator.Simulation` for protocols whose state space a
-:class:`~repro.core.encoding.StateEncoder` can enumerate.  Instead of one
-``protocol.transition`` Python call, two state writes, and an observer loop
-per interaction, it
+:class:`~repro.core.simulator.Simulation`.  Instead of one
+``protocol.transition`` Python call, two state copies, two equality checks,
+and an observer loop per interaction, it
 
 * draws scheduler arcs in blocks (one ``randrange`` per step, the same draws
   in the same order as :class:`~repro.core.scheduler.UniformRandomScheduler`,
   so random streams are bit-identical across engines),
-* applies each interaction with two list lookups through the compiled
-  transition table over an integer state array, and
+* holds the agents as integer codes — a state gets one the first time it is
+  seen (:func:`~repro.core.encoding.state_key`) — and fills a transition
+  table lazily: a ``(code_i, code_r)`` pair calls ``protocol.transition``
+  only on its first occurrence, every repeat is one dict lookup, and
 * tracks ``steps`` / ``effective_steps`` / per-agent interaction counts /
   the leader count incrementally, so metrics cost O(1) per step and
   ``leader_count()`` is O(1) instead of an O(n) scan.
 
-The third tier, :class:`NumpySimulation`, vectorizes the replay itself: arc
+The table memoizes a pure function, so when an entry is filled, and which
+code a state gets, cannot change a result.  Its memory is bounded by
+:data:`MAX_CODED_STATES`: once that many states have been coded since the
+table was built, the next miss rebuilds it from the agents' current states.
+
+The third tier, :class:`NumpySimulation`, vectorizes the replay itself over
+a table a :class:`~repro.core.encoding.StateEncoder` enumerated up front: arc
 indices are recovered from bulk generator words (the exact ``randrange``
 stream, see :meth:`~repro.core.rng.RandomSource.randbits_words`), endpoints
 come from the population's vectorized ``numpy_endpoints``, and each block is
@@ -40,16 +47,17 @@ protocol spec (the latter over every supported topology too).  What the
 table engines do *not* support are per-interaction observers (there is
 deliberately no per-step callback on the hot path); use the step engine when
 a :class:`~repro.core.recorder.TraceRecorder` or
-:class:`~repro.core.recorder.FieldWatcher` is attached.
+:class:`~repro.core.recorder.FieldWatcher` is attached.  Both share one
+object per code, so no engine may mutate a state in place.
 """
 
 from __future__ import annotations
 
 import importlib.util
-from typing import Generic, List, Optional, TypeVar
+from typing import Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 
 from repro.core.configuration import Configuration
-from repro.core.encoding import DEFAULT_MAX_STATES, StateEncoder
+from repro.core.encoding import DEFAULT_MAX_STATES, StateEncoder, fresh_copy, state_key
 from repro.core.errors import (
     InvalidConfigurationError,
     InvalidParameterError,
@@ -70,6 +78,10 @@ ENGINES = ("auto", "step", "batched", "numpy")
 #: Upper bound on one internal block: bounds the arc-draw buffer (a list of
 #: ints) regardless of how many steps a single run()/run_until() burst asks for.
 _MAX_BLOCK = 65_536
+
+#: Memory bound of the batched engine's lazy table: the states it may code
+#: between two builds.  Read when a simulation is constructed.
+MAX_CODED_STATES = 1024
 
 #: Block bounds for the numpy engine.  Conflict-layer count grows with
 #: ``block / n`` while per-block fixed costs shrink with it, so the block
@@ -103,60 +115,21 @@ def _require_numpy():
     return numpy
 
 
-class BatchedSimulation(Generic[StateT]):
-    """Executes one protocol on one population through a compiled table.
+#: A table entry: ``()`` when the interaction changes neither state, else
+#: ``(initiator code, responder code, leader-count delta)`` after it.
+_Entry = Tuple[int, ...]
 
-    Parameters mirror :class:`~repro.core.simulator.Simulation`: pass either
-    a ``scheduler`` (any :class:`Scheduler`, e.g. a ``SequenceScheduler`` for
-    replay/cross-checks) or an ``rng`` seed/source for the built-in uniformly
-    random drawing.  ``encoder`` may be shared across simulations; when
-    omitted, one is built from the initial configuration's states (raising
-    :class:`~repro.core.errors.StateSpaceError` when the protocol cannot be
-    enumerated — the caller is expected to fall back to the step engine).
-    """
 
-    def __init__(
-        self,
-        protocol: Protocol[StateT],
-        population: Population,
-        initial: Configuration[StateT],
-        scheduler: Optional[Scheduler] = None,
-        rng: "RandomSource | int | None" = None,
-        encoder: "StateEncoder[StateT] | None" = None,
-        max_states: int = DEFAULT_MAX_STATES,
-    ) -> None:
-        if len(initial) != population.size:
-            raise InvalidConfigurationError(
-                f"configuration has {len(initial)} agents but the population has "
-                f"{population.size}"
-            )
-        # Shared immutable structure (protocol, topology, compiled tables):
-        # identical across snapshot/restore, so not part of the run state.
-        self._protocol = protocol  # repro: allow[REP006]
-        self._population = population  # repro: allow[REP006]
-        self._encoder = encoder if encoder is not None else StateEncoder.build(  # repro: allow[REP006]
-            protocol, initial.states(), max_states=max_states
-        )
-        self._codes: List[int] = self._encoder.encode_all(initial.states())
-        self._scheduler = scheduler
-        self._rng = None if scheduler is not None else ensure_source(rng)
-        self._num_arcs = population.num_arcs  # repro: allow[REP006]
-        # Index an arc list only when the population already has one; lazy
-        # populations (large complete graphs) stay allocation-free via the
-        # closed-form arc_by_index path.
-        self._arc_list = population.arcs if population.has_materialized_arcs else None  # repro: allow[REP006]
-        tables = self._encoder.tables()
-        self._initiator_out, self._responder_out, self._changed, self._leader_delta = tables  # repro: allow[REP006]
-        self._width = self._encoder.num_states  # repro: allow[REP006]
-        leader_flags = self._encoder.leader_flags()
-        self._leaders = sum(leader_flags[code] for code in self._codes)
-        self._total_steps = 0
-        self._effective_steps = 0
-        self._interactions = [0] * population.size
+class _TableSimulation(Generic[StateT]):
+    """What the two table engines share: the accessors, and execution in
+    blocks of at most ``_block`` interactions through ``_advance(count)``,
+    with stop predicates evaluated on the zero-copy ``_view()``."""
 
-    # ------------------------------------------------------------------ #
-    # Accessors (mirroring Simulation)
-    # ------------------------------------------------------------------ #
+    #: The engine name trial results report (as ``Simulation.tier``).
+    tier = ""
+    #: Interactions per ``_advance`` call (an upper bound).
+    _block = _MAX_BLOCK
+
     @property
     def protocol(self) -> Protocol[StateT]:
         """The protocol being executed."""
@@ -168,11 +141,6 @@ class BatchedSimulation(Generic[StateT]):
         return self._population
 
     @property
-    def encoder(self) -> StateEncoder[StateT]:
-        """The compiled state encoder driving this simulation."""
-        return self._encoder
-
-    @property
     def steps(self) -> int:
         """Total number of steps executed so far."""
         return self._total_steps
@@ -182,6 +150,148 @@ class BatchedSimulation(Generic[StateT]):
         """Steps in which the transition actually changed some state."""
         return self._effective_steps
 
+    def leader_count(self) -> int:
+        """Number of agents currently outputting the leader symbol (O(1))."""
+        return self._leaders
+
+    def add_observer(self, observer: object) -> None:
+        """Unsupported: observers would reintroduce a Python call per step."""
+        raise InvalidParameterError(
+            f"the {self.tier} engine does not support per-interaction observers; "
+            "use the step engine (Simulation) for traced runs"
+        )
+
+    def _advance_chunked(self, count: int) -> None:
+        """Execute ``count`` interactions in block-bounded chunks."""
+        remaining = count
+        while remaining > 0:
+            chunk = min(remaining, self._block)
+            self._advance(chunk)
+            remaining -= chunk
+
+    def step(self) -> bool:
+        """Execute one interaction; return True when some state changed."""
+        before = self._effective_steps
+        self._advance(1)
+        return self._effective_steps != before
+
+    def run(self, steps: int) -> Configuration[StateT]:
+        """Execute exactly ``steps`` interactions and return the final snapshot."""
+        if steps < 0:
+            raise InvalidParameterError(f"steps must be non-negative, got {steps}")
+        self._advance_chunked(steps)
+        return self.configuration()
+
+    def run_sequence(self) -> Configuration[StateT]:
+        """Run until the (deterministic) scheduler is exhausted."""
+        if self._scheduler is None:
+            raise InvalidParameterError(
+                "run_sequence needs an explicit (finite) scheduler; this "
+                "simulation draws from a random source"
+            )
+        try:
+            while True:
+                self._advance(self._block)
+        except ScheduleExhaustedError:
+            pass
+        return self.configuration()
+
+    def run_until(
+        self,
+        predicate: StatePredicate,
+        max_steps: int,
+        check_interval: int = 1,
+        check_backoff: bool = False,
+        check_interval_cap: Optional[int] = None,
+    ) -> RunResult[StateT]:
+        """Run until ``predicate(states)`` holds — identical semantics (and,
+        per arc stream, identical step counts) to :meth:`Simulation.run_until`,
+        including the optional geometric check-interval backoff.
+
+        The predicate sees a zero-copy view: agents in equal states share one
+        object, so predicates must treat the sequence as read-only (all
+        predicates in this package do).
+        """
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+        cap = resolve_check_cap(check_interval, check_backoff, check_interval_cap)
+        if predicate(self._view()):
+            return RunResult(True, 0, self.configuration())
+        executed = 0
+        interval = check_interval
+        while executed < max_steps:
+            burst = min(interval, max_steps - executed)
+            self._advance_chunked(burst)
+            executed += burst
+            if predicate(self._view()):
+                return RunResult(True, executed, self.configuration())
+            if check_backoff and interval < cap:
+                interval = min(interval * 2, cap)
+        return RunResult(False, executed, self.configuration())
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"<{type(self).__name__} protocol={self._protocol.name!r} "
+            f"population={self._population.name!r} steps={self._total_steps}>"
+        )
+
+
+class BatchedSimulation(_TableSimulation[StateT]):
+    """Executes one protocol on one population through a lazily filled table.
+
+    Parameters mirror :class:`~repro.core.simulator.Simulation`: pass either
+    a ``scheduler`` (any :class:`Scheduler`, e.g. a ``SequenceScheduler`` for
+    replay/cross-checks) or an ``rng`` seed/source for the built-in uniformly
+    random drawing.  States must be hashable or dataclasses.
+    """
+
+    tier = "batched"
+
+    def __init__(
+        self,
+        protocol: Protocol[StateT],
+        population: Population,
+        initial: Configuration[StateT],
+        scheduler: Optional[Scheduler] = None,
+        rng: "RandomSource | int | None" = None,
+    ) -> None:
+        if len(initial) != population.size:
+            raise InvalidConfigurationError(
+                f"configuration has {len(initial)} agents but the population has "
+                f"{population.size}"
+            )
+        # Shared immutable structure (protocol, topology, layout constants)
+        # and the lazy table's caches — code -> state, state key -> code,
+        # code -> leader flag, pair ``code_i * stride + code_r`` -> entry.
+        # The caches memoize a pure function: a restore re-codes the
+        # captured states, and a rebuild may renumber every code, without
+        # changing the run, so none of it is run state.
+        self._protocol = protocol  # repro: allow[REP006]
+        self._population = population  # repro: allow[REP006]
+        self._coded: List[StateT] = []  # repro: allow[REP006]
+        self._index: Dict[Hashable, int] = {}  # repro: allow[REP006]
+        self._leader_flags: List[int] = []  # repro: allow[REP006]
+        self._table: Dict[int, _Entry] = {}  # repro: allow[REP006]
+        self._max_new = MAX_CODED_STATES  # repro: allow[REP006]
+        # A build codes at most n states and at most max_new + 1 follow it.
+        self._stride = population.size + self._max_new + 2  # repro: allow[REP006]
+        self._codes: List[int] = [self._intern(state) for state in initial]
+        self._rebuild_at = len(self._coded) + self._max_new  # repro: allow[REP006]
+        self._scheduler = scheduler
+        self._rng = None if scheduler is not None else ensure_source(rng)
+        self._num_arcs = population.num_arcs  # repro: allow[REP006]
+        # Index an arc list only when the population already has one; lazy
+        # populations (large complete graphs) stay allocation-free via the
+        # closed-form arc_by_index path.
+        self._arc_list = population.arcs if population.has_materialized_arcs else None  # repro: allow[REP006]
+        self._leaders = sum(self._leader_flags[code] for code in self._codes)
+        self._total_steps = 0
+        self._effective_steps = 0
+        self._interactions = [0] * population.size
+
+    # ------------------------------------------------------------------ #
+    # Accessors (mirroring Simulation)
+    # ------------------------------------------------------------------ #
     @property
     def metrics(self) -> StepMetrics:
         """Step metrics, materialized from the incremental counters.
@@ -207,11 +317,12 @@ class BatchedSimulation(Generic[StateT]):
             raise IndexError(
                 f"agent {agent} out of range for a population of {len(self._codes)}"
             )
-        return self._encoder.decode(self._codes[agent])
+        return fresh_copy(self._coded[self._codes[agent]])
 
     def states(self) -> List[StateT]:
         """Snapshot of the agent states (decoded fresh on every call)."""
-        return self._encoder.decode_all(self._codes)
+        coded = self._coded
+        return [fresh_copy(coded[code]) for code in self._codes]
 
     def codes(self) -> List[int]:
         """The live integer state array (read-only for callers)."""
@@ -219,26 +330,24 @@ class BatchedSimulation(Generic[StateT]):
 
     def configuration(self) -> Configuration[StateT]:
         """Immutable snapshot of the current configuration."""
-        return Configuration(self._encoder.decode_all(self._codes))
+        return Configuration(self.states())
 
-    def leader_count(self) -> int:
-        """Number of agents currently outputting the leader symbol (O(1))."""
-        return self._leaders
-
-    def add_observer(self, observer: object) -> None:
-        """Unsupported: observers would reintroduce a Python call per step."""
-        raise InvalidParameterError(
-            "the batched engine does not support per-interaction observers; "
-            "use the step engine (Simulation) for traced runs"
-        )
+    def _view(self) -> List[StateT]:
+        coded = self._coded
+        return [coded[code] for code in self._codes]
 
     # ------------------------------------------------------------------ #
     # State capture (the engine snapshot/restore contract)
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
-        """Capture the full execution state (same contract as ``Simulation``)."""
+        """Capture the full execution state (same contract as ``Simulation``).
+
+        Agents are captured as their (never mutated) states, not as codes,
+        which a rebuild renumbers.
+        """
+        coded = self._coded
         return {
-            "codes": list(self._codes),
+            "states": [coded[code] for code in self._codes],
             "stream": (self._rng.getstate() if self._rng is not None
                        else self._scheduler.getstate()),
             "total_steps": self._total_steps,
@@ -249,7 +358,9 @@ class BatchedSimulation(Generic[StateT]):
 
     def restore(self, snapshot: dict) -> None:
         """Rewind to a state captured by :meth:`snapshot` (same simulation)."""
-        self._codes = list(snapshot["codes"])
+        self._codes = [self._intern(state) for state in snapshot["states"]]
+        if len(self._coded) >= self._rebuild_at:
+            self._rebuild()  # keeps every code below the stride
         if self._rng is not None:
             self._rng.setstate(snapshot["stream"])
         else:
@@ -260,151 +371,104 @@ class BatchedSimulation(Generic[StateT]):
         self._leaders = snapshot["leaders"]
 
     # ------------------------------------------------------------------ #
+    # The lazy table
+    # ------------------------------------------------------------------ #
+    def _intern(self, state: StateT) -> int:
+        """The code of ``state``, assigned on first sight."""
+        key = state_key(state)
+        code = self._index.get(key)
+        if code is None:
+            code = self._index[key] = len(self._coded)
+            self._coded.append(state)
+            self._leader_flags.append(int(self._protocol.is_leader(state)))
+        return code
+
+    def _rebuild(self) -> None:
+        """Re-code the agents' current states and drop every entry (in
+        place, so the hot loop's aliases stay valid)."""
+        renumber: Dict[int, int] = {}
+        self._codes[:] = [renumber.setdefault(code, len(renumber)) for code in self._codes]
+        coded, flags = self._coded, self._leader_flags
+        coded[:] = [coded[code] for code in renumber]
+        flags[:] = [flags[code] for code in renumber]
+        self._index.clear()
+        self._index.update((state_key(state), code) for code, state in enumerate(coded))
+        self._table.clear()
+        self._rebuild_at = len(coded) + self._max_new
+
+    def _fill(self, initiator: int, responder: int) -> _Entry:
+        """Fill the entry of the two agents' current pair (a table miss).
+
+        Once :data:`MAX_CODED_STATES` states have been coded since the last
+        build, the table is first rebuilt from the agents' current states:
+        one code path that bounds memory and follows drifting state spaces.
+        """
+        if len(self._coded) >= self._rebuild_at:
+            self._rebuild()
+        codes, coded = self._codes, self._coded
+        before_i, before_r = codes[initiator], codes[responder]
+        after_i, after_r = self._protocol.transition(coded[before_i], coded[before_r])
+        code_i, code_r = self._intern(after_i), self._intern(after_r)
+        entry: _Entry = ()
+        if code_i != before_i or code_r != before_r:
+            flags = self._leader_flags
+            entry = (code_i, code_r, flags[code_i] + flags[code_r]
+                     - flags[before_i] - flags[before_r])
+        self._table[before_i * self._stride + before_r] = entry
+        return entry
+
+    # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
     def _advance(self, count: int) -> None:
         """Execute ``count`` interactions through the table (one block).
 
-        The totals are committed in ``finally`` so a mid-block
-        :class:`ScheduleExhaustedError` (scheduler mode) leaves the counters
-        exactly at the executed prefix, matching the step engine.
+        The block's arcs are collected first.  When an explicit schedule
+        runs out mid-block, the executed prefix is applied and counted
+        before the error propagates, matching the step engine.
         """
+        exhausted = None
+        if self._scheduler is not None:
+            arcs = []
+            next_arc = self._scheduler.next_arc
+            try:
+                for _ in range(count):
+                    arcs.append(next_arc())
+            except ScheduleExhaustedError as error:
+                exhausted = error
+        else:
+            # The same randrange stream, in the same order, as the
+            # uniformly random scheduler.
+            randrange = self._rng.randrange_callable()
+            num_arcs = self._num_arcs
+            if self._arc_list is not None:
+                arc_list = self._arc_list
+                arcs = [arc_list[randrange(num_arcs)] for _ in range(count)]
+            else:
+                arc_by_index = self._population.arc_by_index
+                arcs = [arc_by_index(randrange(num_arcs)) for _ in range(count)]
         codes = self._codes
-        width = self._width
-        initiator_out = self._initiator_out
-        responder_out = self._responder_out
-        changed = self._changed
-        leader_delta = self._leader_delta
+        stride = self._stride
+        lookup = self._table.get
+        fill = self._fill
         counts = self._interactions
         effective = 0
         leaders = self._leaders
-        executed = 0
-        try:
-            if self._scheduler is None:
-                # Draw the whole block of arc indices up front (same
-                # randrange stream, in the same order, as the uniformly
-                # random scheduler), then apply them through the table.
-                randrange = self._rng.randrange_callable()
-                num_arcs = self._num_arcs
-                draws = [randrange(num_arcs) for _ in range(count)]
-                arcs = self._arc_list
-                if arcs is not None:
-                    for index in draws:
-                        initiator, responder = arcs[index]
-                        qq = codes[initiator] * width + codes[responder]
-                        if changed[qq]:
-                            codes[initiator] = initiator_out[qq]
-                            codes[responder] = responder_out[qq]
-                            effective += 1
-                            leaders += leader_delta[qq]
-                        counts[initiator] += 1
-                        counts[responder] += 1
-                else:
-                    arc_by_index = self._population.arc_by_index
-                    for index in draws:
-                        initiator, responder = arc_by_index(index)
-                        qq = codes[initiator] * width + codes[responder]
-                        if changed[qq]:
-                            codes[initiator] = initiator_out[qq]
-                            codes[responder] = responder_out[qq]
-                            effective += 1
-                            leaders += leader_delta[qq]
-                        counts[initiator] += 1
-                        counts[responder] += 1
-                executed = count
-            else:
-                next_arc = self._scheduler.next_arc
-                while executed < count:
-                    initiator, responder = next_arc()
-                    executed += 1
-                    qq = codes[initiator] * width + codes[responder]
-                    if changed[qq]:
-                        codes[initiator] = initiator_out[qq]
-                        codes[responder] = responder_out[qq]
-                        effective += 1
-                        leaders += leader_delta[qq]
-                    counts[initiator] += 1
-                    counts[responder] += 1
-        finally:
-            self._total_steps += executed
-            self._effective_steps += effective
-            self._leaders = leaders
-
-    def _advance_chunked(self, count: int) -> None:
-        """Execute ``count`` interactions in bounded-size blocks."""
-        remaining = count
-        while remaining > 0:
-            block = min(remaining, _MAX_BLOCK)
-            self._advance(block)
-            remaining -= block
-
-    def step(self) -> bool:
-        """Execute one interaction; return True when some state changed."""
-        before = self._effective_steps
-        self._advance(1)
-        return self._effective_steps != before
-
-    def run(self, steps: int) -> Configuration[StateT]:
-        """Execute exactly ``steps`` interactions and return the final snapshot."""
-        if steps < 0:
-            raise InvalidParameterError(f"steps must be non-negative, got {steps}")
-        self._advance_chunked(steps)
-        return self.configuration()
-
-    def run_sequence(self) -> Configuration[StateT]:
-        """Run until the (deterministic) scheduler is exhausted."""
-        if self._scheduler is None:
-            raise InvalidParameterError(
-                "run_sequence needs an explicit (finite) scheduler; this "
-                "simulation draws from a random source"
-            )
-        try:
-            while True:
-                self._advance(_MAX_BLOCK)
-        except ScheduleExhaustedError:
-            pass
-        return self.configuration()
-
-    def run_until(
-        self,
-        predicate: StatePredicate,
-        max_steps: int,
-        check_interval: int = 1,
-        check_backoff: bool = False,
-        check_interval_cap: Optional[int] = None,
-    ) -> RunResult[StateT]:
-        """Run until ``predicate(states)`` holds — identical semantics (and,
-        per arc stream, identical step counts) to :meth:`Simulation.run_until`,
-        including the optional geometric check-interval backoff.
-
-        The predicate is evaluated on a zero-copy decoded view of the state
-        array: agents in equal states share one object, so predicates must
-        treat the sequence as read-only (all predicates in this package do).
-        """
-        if max_steps < 0:
-            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-        cap = resolve_check_cap(check_interval, check_backoff, check_interval_cap)
-        decode_view = self._encoder.decode_view
-        if predicate(decode_view(self._codes)):
-            return RunResult(True, 0, self.configuration())
-        executed = 0
-        interval = check_interval
-        while executed < max_steps:
-            burst = min(interval, max_steps - executed)
-            self._advance_chunked(burst)
-            executed += burst
-            if predicate(decode_view(self._codes)):
-                return RunResult(True, executed, self.configuration())
-            if check_backoff and interval < cap:
-                interval = min(interval * 2, cap)
-        return RunResult(False, executed, self.configuration())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<BatchedSimulation protocol={self._protocol.name!r} "
-            f"population={self._population.name!r} states={self._width} "
-            f"steps={self._total_steps}>"
-        )
+        for initiator, responder in arcs:
+            entry = lookup(codes[initiator] * stride + codes[responder])
+            if entry is None:
+                entry = fill(initiator, responder)
+            if entry:
+                codes[initiator], codes[responder], delta = entry
+                effective += 1
+                leaders += delta
+            counts[initiator] += 1
+            counts[responder] += 1
+        self._total_steps += len(arcs)
+        self._effective_steps += effective
+        self._leaders = leaders
+        if exhausted is not None:
+            raise exhausted
 
 
 def batched_simulation_factory(
@@ -412,8 +476,6 @@ def batched_simulation_factory(
     population: Population,
     initial: Configuration[StateT],
     rng: RandomSource,
-    encoder: "StateEncoder[StateT] | None" = None,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> BatchedSimulation[StateT]:
     """Batched counterpart of ``default_simulation_factory``.
 
@@ -424,7 +486,6 @@ def batched_simulation_factory(
     return BatchedSimulation(
         protocol, population, initial,
         rng=rng.randint(0, 2 ** 31 - 1),
-        encoder=encoder, max_states=max_states,
     )
 
 
@@ -553,12 +614,13 @@ class _BlockDraws:
         self._cursor = cursor
 
 
-class NumpySimulation(Generic[StateT]):
+class NumpySimulation(_TableSimulation[StateT]):
     """The vectorized third engine tier: block replay over ``numpy`` arrays.
 
-    API and semantics mirror :class:`BatchedSimulation` (same constructor,
-    same accessors, same equivalence contract with :class:`Simulation`); the
-    execution strategy differs:
+    API and semantics mirror :class:`BatchedSimulation` (the same
+    constructor plus a compiled ``encoder``, which is built from the initial
+    configuration when omitted; the same accessors; the same equivalence
+    contract with :class:`Simulation`); the execution strategy differs:
 
     * arc indices come from :class:`_BlockDraws` (the exact ``randrange``
       stream, recovered from bulk generator words) or, under an explicit
@@ -575,6 +637,8 @@ class NumpySimulation(Generic[StateT]):
     from an ``rng``, the simulation owns that source (bulk word reads
     advance it ahead of any per-call consumer).
     """
+
+    tier = "numpy"
 
     def __init__(
         self,
@@ -634,29 +698,9 @@ class NumpySimulation(Generic[StateT]):
     # Accessors (mirroring BatchedSimulation)
     # ------------------------------------------------------------------ #
     @property
-    def protocol(self) -> Protocol[StateT]:
-        """The protocol being executed."""
-        return self._protocol
-
-    @property
-    def population(self) -> Population:
-        """The population graph."""
-        return self._population
-
-    @property
     def encoder(self) -> StateEncoder[StateT]:
         """The compiled state encoder driving this simulation."""
         return self._encoder
-
-    @property
-    def steps(self) -> int:
-        """Total number of steps executed so far."""
-        return self._total_steps
-
-    @property
-    def effective_steps(self) -> int:
-        """Steps in which the transition actually changed some state."""
-        return self._effective_steps
 
     @property
     def metrics(self) -> StepMetrics:
@@ -693,16 +737,8 @@ class NumpySimulation(Generic[StateT]):
         """Immutable snapshot of the current configuration."""
         return Configuration(self._encoder.decode_all(self._codes.tolist()))
 
-    def leader_count(self) -> int:
-        """Number of agents currently outputting the leader symbol (O(1))."""
-        return self._leaders
-
-    def add_observer(self, observer: object) -> None:
-        """Unsupported: observers would reintroduce a Python call per step."""
-        raise InvalidParameterError(
-            "the numpy engine does not support per-interaction observers; "
-            "use the step engine (Simulation) for traced runs"
-        )
+    def _view(self) -> List[StateT]:
+        return self._encoder.decode_view(self._codes.tolist())
 
     # ------------------------------------------------------------------ #
     # State capture (the engine snapshot/restore contract)
@@ -824,82 +860,6 @@ class NumpySimulation(Generic[StateT]):
                               numpy.ascontiguousarray(pairs[:, 1]))
         if error is not None:
             raise error
-
-    def _advance_chunked(self, count: int) -> None:
-        """Execute ``count`` interactions in block-bounded chunks."""
-        remaining = count
-        block = self._block
-        while remaining > 0:
-            chunk = min(remaining, block)
-            self._advance(chunk)
-            remaining -= chunk
-
-    def step(self) -> bool:
-        """Execute one interaction; return True when some state changed."""
-        before = self._effective_steps
-        self._advance(1)
-        return self._effective_steps != before
-
-    def run(self, steps: int) -> Configuration[StateT]:
-        """Execute exactly ``steps`` interactions and return the final snapshot."""
-        if steps < 0:
-            raise InvalidParameterError(f"steps must be non-negative, got {steps}")
-        self._advance_chunked(steps)
-        return self.configuration()
-
-    def run_sequence(self) -> Configuration[StateT]:
-        """Run until the (deterministic) scheduler is exhausted."""
-        if self._scheduler is None:
-            raise InvalidParameterError(
-                "run_sequence needs an explicit (finite) scheduler; this "
-                "simulation draws from a random source"
-            )
-        try:
-            while True:
-                self._advance(self._block)
-        except ScheduleExhaustedError:
-            pass
-        return self.configuration()
-
-    def run_until(
-        self,
-        predicate: StatePredicate,
-        max_steps: int,
-        check_interval: int = 1,
-        check_backoff: bool = False,
-        check_interval_cap: Optional[int] = None,
-    ) -> RunResult[StateT]:
-        """Run until ``predicate(states)`` holds — identical semantics (and,
-        per arc stream, identical step counts) to the other engines,
-        including the optional geometric check-interval backoff.
-
-        The predicate sees a zero-copy decoded view (shared representative
-        objects); treat it as read-only, as every predicate here does.
-        """
-        if max_steps < 0:
-            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-        cap = resolve_check_cap(check_interval, check_backoff, check_interval_cap)
-        decode_view = self._encoder.decode_view
-        if predicate(decode_view(self._codes.tolist())):
-            return RunResult(True, 0, self.configuration())
-        executed = 0
-        interval = check_interval
-        while executed < max_steps:
-            burst = min(interval, max_steps - executed)
-            self._advance_chunked(burst)
-            executed += burst
-            if predicate(decode_view(self._codes.tolist())):
-                return RunResult(True, executed, self.configuration())
-            if check_backoff and interval < cap:
-                interval = min(interval * 2, cap)
-        return RunResult(False, executed, self.configuration())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<NumpySimulation protocol={self._protocol.name!r} "
-            f"population={self._population.name!r} states={self._width} "
-            f"steps={self._total_steps}>"
-        )
 
 
 def numpy_simulation_factory(

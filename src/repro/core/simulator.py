@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Generic, List, Optional, Sequence, TypeVar
 
 from repro.core.configuration import Configuration
-from repro.core.errors import ConvergenceError, InvalidConfigurationError, ScheduleExhaustedError
+from repro.core.errors import (
+    ConvergenceError,
+    InvalidConfigurationError,
+    InvalidParameterError,
+    ScheduleExhaustedError,
+)
 from repro.core.metrics import StepMetrics
 from repro.core.protocol import Protocol
 from repro.core.scheduler import Scheduler, UniformRandomScheduler
@@ -82,6 +87,9 @@ class RunResult(Generic[StateT]):
 
 class Simulation(Generic[StateT]):
     """Executes one protocol on one population under one scheduler."""
+
+    #: The engine name trial results report ("step", "batched" or "numpy").
+    tier = "step"
 
     def __init__(
         self,
@@ -218,6 +226,8 @@ class Simulation(Generic[StateT]):
 
     def run(self, steps: int) -> Configuration[StateT]:
         """Execute exactly ``steps`` interactions and return the final snapshot."""
+        if steps < 0:
+            raise InvalidParameterError(f"steps must be non-negative, got {steps}")
         for _ in range(steps):
             self.step()
         return self.configuration()

@@ -25,7 +25,7 @@ oracle flag is raised becomes a leader at its next interaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, MutableSequence, Optional, Sequence, Tuple
 
 from repro.core.configuration import Configuration
 from repro.core.errors import InvalidParameterError, InvalidStateError
@@ -165,10 +165,13 @@ class OracleOmega:
         self.patience = patience
         self._consecutive_absent = 0
 
-    def observe_and_report(self, states: Sequence[FischerJiangState]) -> bool:
+    def observe_and_report(self, states: MutableSequence[FischerJiangState]) -> bool:
         """Inspect the configuration; raise the flags if absence is confirmed.
 
-        Returns True when the flags were raised.
+        Raising writes flagged copies into ``states``: the state objects
+        themselves may be shared with earlier snapshots or the caller's
+        initial configuration, so they are never mutated.  Returns True when
+        the flags were raised.
         """
         if any(state.leader == 1 for state in states):
             self._consecutive_absent = 0
@@ -176,8 +179,10 @@ class OracleOmega:
         self._consecutive_absent += 1
         if self._consecutive_absent <= self.patience:
             return False
-        for state in states:
-            state.absence = 1
+        for agent, state in enumerate(states):
+            flagged = state.copy()
+            flagged.absence = 1
+            states[agent] = flagged
         return True
 
 

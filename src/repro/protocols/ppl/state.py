@@ -94,12 +94,15 @@ class PPLState:
         )
 
     def copy(self) -> "PPLState":
-        """A field-by-field copy (tokens are immutable tuples, so shallow is deep)."""
+        """A field-by-field copy (tokens are immutable tuples, so shallow is deep).
+
+        Positional, in field order: every transition makes two copies, and
+        passing the 13 fields by keyword takes about three times as long.
+        """
         return PPLState(
-            leader=self.leader, b=self.b, dist=self.dist, last=self.last,
-            token_b=self.token_b, token_w=self.token_w, mode=self.mode,
-            clock=self.clock, hits=self.hits, signal_r=self.signal_r,
-            bullet=self.bullet, shield=self.shield, signal_b=self.signal_b,
+            self.leader, self.b, self.dist, self.last, self.token_b, self.token_w,
+            self.mode, self.clock, self.hits, self.signal_r,
+            self.bullet, self.shield, self.signal_b,
         )
 
     # ------------------------------------------------------------------ #

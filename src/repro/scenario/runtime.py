@@ -56,16 +56,6 @@ class ScenarioOutcome:
     protocol_name: str
 
 
-def _engine_name(simulation) -> str:
-    from repro.core.fast_simulator import BatchedSimulation, NumpySimulation
-
-    if isinstance(simulation, NumpySimulation):
-        return "numpy"
-    if isinstance(simulation, BatchedSimulation):
-        return "batched"
-    return "step"
-
-
 def _phase_rngs(task: TrialTask, index: int) -> Tuple[RandomSource, RandomSource]:
     """The (scheduler, perturbation) streams for phase ``index``.
 
@@ -129,7 +119,7 @@ def execute_scenario(spec, task: TrialTask, protocol, population,
             protocol, population, Configuration(list(states)), scheduler_rng,
             engine=engine, encoder=encoder, scheduler=scheduler,
         )
-        engines.append(_engine_name(simulation))
+        engines.append(simulation.tier)
 
         if phase.stop == "run":
             simulation.run(phase.budget)

@@ -9,7 +9,7 @@ from repro.api.executor import shared_encoder
 from repro.api.registry import ProtocolSpec, get_spec, register, run_spec, unregister
 from repro.core.configuration import Configuration
 from repro.core.encoding import coverage_seeds
-from repro.core.fast_simulator import BatchedSimulation
+from repro.core.fast_simulator import NumpySimulation, numpy_available
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource
 
@@ -76,6 +76,8 @@ def test_probe_seeds_miss_the_planted_state(planted_spec):
     assert shared.covers([0, 1, 0])  # probe-drawn states are covered
 
 
+@pytest.mark.skipif(not numpy_available(),
+                    reason="the shared encoder serves the numpy tier only")
 def test_uncovered_trial_rebuilds_its_own_encoder(planted_spec):
     config = ExperimentConfig(trials=2, max_steps=10_000, check_interval=16)
     spec = get_spec("planted-copy-test")
@@ -85,8 +87,8 @@ def test_uncovered_trial_rebuilds_its_own_encoder(planted_spec):
     shared = shared_encoder("planted-copy-test", 6, config)
     simulation = spec.build_simulation(
         protocol, population, initial, RandomSource(11),
-        engine="batched", encoder=shared)
-    assert isinstance(simulation, BatchedSimulation)
+        engine="numpy", encoder=shared)
+    assert isinstance(simulation, NumpySimulation)
     # The per-trial fallback kicked in: a fresh table, compiled from this
     # trial's configuration, covering the planted state the probes missed.
     assert simulation.encoder is not shared

@@ -33,6 +33,20 @@ def test_oracle_raises_absence_flags_only_when_leaderless():
     assert all(state.absence == 1 for state in leaderless)
 
 
+def test_oracle_never_rewrites_snapshots_or_the_callers_configuration():
+    """Raising the flags writes copies into the live list: an earlier
+    snapshot, and the caller's initial configuration, keep their values."""
+    protocol = FischerJiangProtocol()
+    initial = Configuration([FischerJiangState.follower() for _ in range(6)])
+    simulation = OracleSimulation(protocol, DirectedRing(6), initial, rng=3)
+    simulation.run(5)
+    snapshot = simulation.configuration()
+    simulation.step()  # step 6: the oracle reports the leaderless ring
+    assert any(state.absence for state in simulation.states())
+    assert [state.absence for state in snapshot] == [0] * 6
+    assert [state.absence for state in initial] == [0] * 6
+
+
 def test_oracle_patience_delays_the_report():
     oracle = OracleOmega(report_interval=1, patience=2)
     leaderless = [FischerJiangState.follower(), FischerJiangState.follower()]

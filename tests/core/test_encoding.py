@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
+from repro.api import ExperimentConfig, get_spec, list_specs
 from repro.core.configuration import random_configuration
-from repro.core.encoding import DEFAULT_MAX_STATES, StateEncoder
+from repro.core.encoding import DEFAULT_MAX_STATES, StateEncoder, fresh_copy, state_key
 from repro.core.errors import InvalidParameterError, InvalidStateError, StateSpaceError
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource
@@ -152,3 +155,50 @@ def test_encoder_requires_some_seed_states():
 
     with pytest.raises(InvalidParameterError):
         StateEncoder.build(Opaque())
+
+
+# ---------------------------------------------------------------------- #
+# The per-class state key
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("name", [spec.name for spec in list_specs() if spec.is_simulated])
+def test_state_key_agrees_with_equality_on_every_registered_spec(name):
+    spec = get_spec(name)
+    n = next(k for k in range(4, 20) if spec.supports(k))
+    protocol = spec.build_protocol(n, ExperimentConfig())
+    rng = RandomSource(8)
+    states = [protocol.random_state(rng) for _ in range(80)]
+    # Successors reach values random_state never draws; copies make equal,
+    # distinct objects.
+    states += [after for initiator, responder in zip(states, states[1:])
+               for after in protocol.transition(initiator, responder)]
+    states += [fresh_copy(state) for state in states[::2]]
+    keys = [state_key(state) for state in states]
+    equal_pairs = 0
+    for i, state in enumerate(states):
+        for j, other in enumerate(states):
+            assert (keys[i] == keys[j]) == (state == other), (state, other)
+            equal_pairs += i != j and state == other
+    assert equal_pairs
+
+
+def test_state_key_separates_classes_and_refuses_unkeyable_states():
+    @dataclass(eq=True)
+    class Left:
+        __slots__ = ("value",)
+        value: int
+
+    @dataclass(eq=True)
+    class Right:
+        __slots__ = ("value",)
+        value: int
+
+    assert Left(1) != Right(1)
+    assert state_key(Left(1)) != state_key(Right(1))
+    assert state_key(Left(1)) == state_key(Left(1))
+
+    class Opaque:
+        __hash__ = None
+
+    for state in ([0, 1], Opaque()):
+        with pytest.raises(StateSpaceError):
+            state_key(state)

@@ -4,8 +4,9 @@ The contract that makes the batched engine safe to select automatically:
 driven by the same arc stream, :class:`BatchedSimulation` produces the same
 final configuration, step count, effective-step count, per-agent interaction
 counts, and leader count as :class:`Simulation` — for every registered
-protocol spec.  Specs whose state space cannot be enumerated (``ppl``) must
-fall back to the step engine rather than fail.
+protocol spec.  The engine fills its transition table lazily, so specs whose
+state space cannot be enumerated (``ppl``, ``yokota2021`` from n=17) run on
+it too, and a table forced past its memory cap stays bit-identical.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ExperimentConfig, experiment, get_spec, list_specs, run_spec
-from repro.core.encoding import StateEncoder
-from repro.core.errors import InvalidParameterError, ScheduleExhaustedError, StateSpaceError
+from repro.core import fast_simulator
+from repro.core.errors import InvalidParameterError, ScheduleExhaustedError
 from repro.core.fast_simulator import (
     BatchedSimulation,
     NumpySimulation,
@@ -47,24 +48,15 @@ def _trial_ingredients(name: str, seed: int = 31):
 
 @pytest.mark.parametrize("name", SIMULATED_SPECS)
 def test_batched_engine_is_bit_identical_on_the_same_arc_stream(name):
-    spec, protocol, population, initial = _trial_ingredients(name)
-    encoder = StateEncoder.try_build(protocol, initial.states())
-    if encoder is None:
-        # The enumerate-or-fallback contract: large-state protocols cannot
-        # encode, and the auto engine must hand them to the step loop.
-        assert name == "ppl", f"{name} unexpectedly failed to encode"
-        simulation = spec.build_simulation(
-            protocol, population, initial, RandomSource(1), engine="auto"
-        )
-        assert isinstance(simulation, Simulation)
-        return
-
+    # No enumeration: large-state protocols (ppl) replay through the lazy
+    # table exactly like the small ones.
+    _, protocol, population, initial = _trial_ingredients(name)
     rng = RandomSource(17)
     arcs = [population.sample_arc(rng) for _ in range(STREAM_LENGTH)]
     step_sim = Simulation(protocol, population, initial,
                           scheduler=SequenceScheduler(arcs))
     batched = BatchedSimulation(protocol, population, initial,
-                                scheduler=SequenceScheduler(arcs), encoder=encoder)
+                                scheduler=SequenceScheduler(arcs))
     step_sim.run_sequence()
     batched.run_sequence()
 
@@ -75,7 +67,7 @@ def test_batched_engine_is_bit_identical_on_the_same_arc_stream(name):
     assert batched.leader_count() == step_sim.leader_count()
 
 
-@pytest.mark.parametrize("name", [n for n in SIMULATED_SPECS if n != "ppl"])
+@pytest.mark.parametrize("name", SIMULATED_SPECS)
 def test_batched_engine_matches_step_engine_from_the_same_seed(name):
     """The internal block drawing consumes the same randrange stream as
     UniformRandomScheduler, so equal seeds give equal executions."""
@@ -86,6 +78,76 @@ def test_batched_engine_matches_step_engine_from_the_same_seed(name):
     batched.run(7_500)
     assert batched.states() == step_sim.states()
     assert batched.metrics == step_sim.metrics
+
+
+@pytest.mark.parametrize("name", ["ppl", "yokota2021"])
+def test_paper_protocols_match_the_step_engine_at_n32(name):
+    """The Theorem 3.1 sweep's protocols, whose state spaces do not
+    enumerate at n=32: same arc stream and same seed give the same states,
+    steps, metrics, and leader count, and the same stop-predicate outcome."""
+    spec = get_spec(name)
+    config = ExperimentConfig()
+    protocol = spec.build_protocol(32, config)
+    population = spec.build_population(32, config)
+    initial = spec.build_configuration(spec.default_family, protocol, 32,
+                                       RandomSource(5))
+    rng = RandomSource(17)
+    arcs = [population.sample_arc(rng) for _ in range(STREAM_LENGTH)]
+    pairs = [
+        (Simulation(protocol, population, initial, scheduler=SequenceScheduler(arcs)),
+         BatchedSimulation(protocol, population, initial,
+                           scheduler=SequenceScheduler(arcs))),
+        (Simulation(protocol, population, initial, rng=123),
+         BatchedSimulation(protocol, population, initial, rng=123)),
+    ]
+    for step_sim, batched in pairs:
+        step_sim.run(STREAM_LENGTH)
+        batched.run(STREAM_LENGTH)
+        assert batched.states() == step_sim.states()
+        assert batched.steps == step_sim.steps == STREAM_LENGTH
+        assert batched.metrics == step_sim.metrics
+        assert batched.leader_count() == step_sim.leader_count()
+    predicate = spec.build_stop_predicate(protocol, population)
+    step_run = Simulation(protocol, population, initial, rng=9).run_until(
+        predicate, max_steps=400_000, check_interval=128)
+    batched_run = BatchedSimulation(protocol, population, initial, rng=9).run_until(
+        predicate, max_steps=400_000, check_interval=128)
+    assert (batched_run.satisfied, batched_run.steps) == (step_run.satisfied, step_run.steps)
+    assert batched_run.configuration.states() == step_run.configuration.states()
+
+
+@pytest.mark.parametrize("name", ["ppl", "yokota2021"])
+def test_table_forced_past_its_cap_stays_bit_identical(name, monkeypatch):
+    """With the cap tiny the table is rebuilt over and over; a snapshot
+    taken before a rebuild and restored after it resumes exactly."""
+    monkeypatch.setattr(fast_simulator, "MAX_CODED_STATES", 4)
+    rebuilds = []
+    rebuild = BatchedSimulation._rebuild
+
+    def counted(self):
+        rebuilds.append(self)
+        rebuild(self)
+
+    monkeypatch.setattr(BatchedSimulation, "_rebuild", counted)
+    _, protocol, population, initial = _trial_ingredients(name)
+    rng = RandomSource(17)
+    arcs = [population.sample_arc(rng) for _ in range(STREAM_LENGTH)]
+    reference = Simulation(protocol, population, initial,
+                           scheduler=SequenceScheduler(arcs))
+    reference.run_sequence()
+    batched = BatchedSimulation(protocol, population, initial,
+                                scheduler=SequenceScheduler(arcs))
+    batched.run(STREAM_LENGTH // 4)
+    saved = batched.snapshot()
+    captured = len(rebuilds)
+    batched.run(STREAM_LENGTH // 4)
+    assert len(rebuilds) > captured  # the codes were renumbered meanwhile
+    batched.restore(saved)
+    batched.run_sequence()
+    assert batched.states() == reference.states()
+    assert batched.steps == reference.steps == STREAM_LENGTH
+    assert batched.metrics == reference.metrics
+    assert batched.leader_count() == reference.leader_count()
 
 
 def test_run_until_semantics_match_the_step_engine():
@@ -168,7 +230,7 @@ def test_auto_engine_selection_per_spec():
     table_tier = NumpySimulation if numpy_available() else BatchedSimulation
     cases = {
         "angluin-modk": table_tier,
-        "ppl": Simulation,                  # too many states: falls back
+        "ppl": BatchedSimulation,           # too many states: lazy table
         "fischer-jiang": OracleSimulation,  # custom factory: step engine
     }
     for name, expected_type in cases.items():
@@ -180,10 +242,12 @@ def test_auto_engine_selection_per_spec():
 
 
 def test_forced_batched_engine_errors_are_loud():
+    # A state space that does not enumerate is no longer an error for the
+    # batched tier; custom simulation semantics and unknown names still are.
     spec, protocol, population, initial = _trial_ingredients("ppl")
-    with pytest.raises(StateSpaceError):
-        spec.build_simulation(protocol, population, initial, RandomSource(1),
-                              engine="batched")
+    simulation = spec.build_simulation(protocol, population, initial,
+                                       RandomSource(1), engine="batched")
+    assert isinstance(simulation, BatchedSimulation)
     fj_spec = get_spec("fischer-jiang")
     with pytest.raises(ValueError):
         fj_spec.resolve_engine("batched")
@@ -222,7 +286,7 @@ def test_builder_reports_the_engine_that_ran():
     assert {trial.engine for trial in forced.trials} == {"batched"}
     fallback = (experiment("ppl").on_ring(8).trials(1)
                 .max_steps(400_000).engine("auto").run())
-    assert {trial.engine for trial in fallback.trials} == {"step"}
+    assert {trial.engine for trial in fallback.trials} == {"batched"}
     with pytest.raises(ValueError):
         experiment("fischer-jiang").engine("batched")
     with pytest.raises(ValueError):

@@ -83,12 +83,13 @@ def test_numpy_engine_is_bit_identical_on_the_same_arc_stream(name, topology):
     encoder = StateEncoder.try_build(protocol, initial.states())
     if encoder is None:
         # The enumerate-or-fallback contract: large-state protocols cannot
-        # encode, and the auto engine must hand them to the step loop.
+        # encode, and the auto engine must hand them to the lazily filled
+        # batched table.
         assert name == "ppl", f"{name} unexpectedly failed to encode"
         simulation = spec.build_simulation(
             protocol, population, initial, RandomSource(1), engine="auto"
         )
-        assert isinstance(simulation, Simulation)
+        assert isinstance(simulation, BatchedSimulation)
         return
 
     rng = RandomSource(17)

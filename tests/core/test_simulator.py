@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.configuration import Configuration
-from repro.core.errors import ConvergenceError, InvalidConfigurationError
+from repro.core.configuration import Configuration, random_configuration
+from repro.core.errors import ConvergenceError, InvalidConfigurationError, InvalidParameterError
+from repro.core.fast_simulator import BatchedSimulation, NumpySimulation, numpy_available
+from repro.core.rng import RandomSource
 from repro.core.scheduler import SequenceScheduler, seq_r
 from repro.core.simulator import Simulation
+from repro.protocols.baselines.angluin_modk import AngluinModKProtocol
 from repro.protocols.ppl import PPLParams, PPLProtocol, PPLState, perfect_configuration
 from repro.topology.ring import DirectedRing
 
@@ -118,3 +121,19 @@ def test_state_of_returns_states_and_rejects_out_of_range_agents():
         simulation.state_of(8)
     with pytest.raises(IndexError):
         simulation.state_of(-1)
+
+
+@pytest.mark.parametrize("engine", [
+    Simulation,
+    BatchedSimulation,
+    pytest.param(NumpySimulation, marks=pytest.mark.skipif(
+        not numpy_available(), reason="numpy engine not installed")),
+])
+def test_run_rejects_a_negative_step_count_on_every_engine(engine):
+    protocol = AngluinModKProtocol(2)
+    ring = DirectedRing(9)
+    simulation = engine(protocol, ring, random_configuration(protocol, 9, RandomSource(1)),
+                        rng=1)
+    with pytest.raises(InvalidParameterError):
+        simulation.run(-1)
+    assert simulation.steps == 0

@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import spec_names
 from repro.cli import build_parser, main
+from repro.core.fast_simulator import numpy_available
 
 
 # ---------------------------------------------------------------------- #
@@ -118,7 +119,7 @@ def test_run_json_schema_fields(capsys):
         assert set(trial) == {"trial", "steps", "converged", "wall_time",
                               "engine", "protocol_name", "phases"}
         assert trial["phases"] == []  # no --scenario: the legacy single run
-        assert trial["engine"] == "step"  # P_PL's state space falls back
+        assert trial["engine"] == "batched"  # P_PL's state space: lazy table
         assert trial["protocol_name"].startswith("P_PL")
 
 
@@ -155,11 +156,18 @@ def test_run_rejects_engine_flag_for_analytic_specs(capsys):
     assert "analytic" in capsys.readouterr().err
 
 
-def test_forced_batched_engine_on_unencodable_protocol_is_a_usage_error(capsys):
-    """A forced --engine batched on P_PL must surface as a clean usage error,
-    not a StateSpaceError traceback mid-run."""
+def test_forced_numpy_engine_on_unencodable_protocol_is_a_usage_error(capsys):
+    """--engine batched on P_PL runs: the lazy table needs no enumeration.
+    Only a forced --engine numpy, whose table does, is still a usage error —
+    a clean one, not a StateSpaceError traceback mid-run."""
+    assert main(["run", "ppl", "--sizes", "8", "--trials", "1", "--engine", "batched",
+                 "--format", "json"]) == 0
+    trials = json.loads(capsys.readouterr().out)["results"][0]["trials"]
+    assert {trial["engine"] for trial in trials} == {"batched"}
+    if not numpy_available():
+        return
     with pytest.raises(SystemExit):
-        main(["run", "ppl", "--sizes", "8", "--trials", "1", "--engine", "batched"])
+        main(["run", "ppl", "--sizes", "8", "--trials", "1", "--engine", "numpy"])
     err = capsys.readouterr().err
     assert "enumeration cap" in err and "--engine batched" in err
 
