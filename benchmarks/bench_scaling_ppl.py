@@ -11,9 +11,16 @@ a modest (logarithmic-like) factor.
 from __future__ import annotations
 
 from repro.analysis.stats import fit_growth_law, GROWTH_LAWS
+from repro.api import runner_for
 from repro.experiments.reporting import ascii_bar_chart, format_table
 from repro.experiments.scaling import measure_scaling
-from repro.experiments.harness import run_ppl, run_ppl_leaderless, run_yokota
+
+#: The sweep's runners: the same families and stream labels as the
+#: Theorem 3.1 sweep (``repro.experiments.scaling``).
+run_ppl = runner_for("ppl", family="adversarial")
+run_ppl_leaderless = runner_for("ppl", family="leaderless-trap",
+                                rng_label="ppl-leaderless")
+run_yokota = runner_for("yokota2021")
 
 
 def _print_series(series) -> None:

@@ -10,13 +10,14 @@ steps, ``P_PL`` pays at most a logarithmic factor over it).
 
 from __future__ import annotations
 
-from repro.experiments import ExperimentConfig, run_angluin, run_fischer_jiang, run_ppl, run_yokota
+from repro.api import ExperimentConfig, run_spec
 from repro.experiments.table1 import build_table1, render_table1
 
 
 def test_table1_row_ppl(benchmark, bench_config, reference_size):
     result = benchmark.pedantic(
-        lambda: run_ppl(reference_size, bench_config), rounds=1, iterations=1
+        lambda: run_spec("ppl", reference_size, bench_config, family="adversarial"),
+        rounds=1, iterations=1,
     )
     assert result.all_converged
     assert result.mean_steps() > 0
@@ -24,14 +25,16 @@ def test_table1_row_ppl(benchmark, bench_config, reference_size):
 
 def test_table1_row_yokota(benchmark, bench_config, reference_size):
     result = benchmark.pedantic(
-        lambda: run_yokota(reference_size, bench_config), rounds=1, iterations=1
+        lambda: run_spec("yokota2021", reference_size, bench_config),
+        rounds=1, iterations=1,
     )
     assert result.all_converged
 
 
 def test_table1_row_fischer_jiang(benchmark, bench_config, reference_size):
     result = benchmark.pedantic(
-        lambda: run_fischer_jiang(reference_size, bench_config), rounds=1, iterations=1
+        lambda: run_spec("fischer-jiang", reference_size, bench_config),
+        rounds=1, iterations=1,
     )
     assert result.all_converged
 
@@ -39,7 +42,7 @@ def test_table1_row_fischer_jiang(benchmark, bench_config, reference_size):
 def test_table1_row_angluin(benchmark, bench_config, reference_size):
     size = reference_size if reference_size % 2 else reference_size + 1
     result = benchmark.pedantic(
-        lambda: run_angluin(size, bench_config, k=2), rounds=1, iterations=1
+        lambda: run_spec("angluin-modk", size, bench_config), rounds=1, iterations=1
     )
     assert result.all_converged
 

@@ -32,7 +32,6 @@ from repro.core import (
     BatchedSimulation,
     Configuration,
     ConvergenceError,
-    NumpySimulation,
     RandomSource,
     ReproError,
     RunResult,
@@ -41,7 +40,6 @@ from repro.core import (
     StateEncoder,
     StateSpaceError,
     UniformRandomScheduler,
-    numpy_available,
 )
 from repro.protocols.ppl import PPLParams, PPLProtocol, PPLState
 from repro.topology import (
@@ -66,7 +64,6 @@ __all__ = [
     "ExperimentBuilder",
     "ExperimentConfig",
     "ExperimentResult",
-    "NumpySimulation",
     "PPLParams",
     "PPLProtocol",
     "PPLState",
@@ -86,7 +83,6 @@ __all__ = [
     "__version__",
     "build_topology",
     "experiment",
-    "numpy_available",
     "run_spec",
     "topology_names",
 ]

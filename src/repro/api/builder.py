@@ -297,16 +297,14 @@ class ExperimentBuilder:
         return self
 
     def engine(self, mode: str) -> "ExperimentBuilder":
-        """Pick the simulation engine: ``"auto"`` (default), ``"step"``,
-        ``"batched"``, or ``"numpy"``.
+        """Pick the simulation engine: ``"auto"`` (default), ``"step"``, or
+        ``"batched"``.
 
-        ``"auto"`` picks the fastest applicable tier — the vectorized numpy
-        engine when numpy is installed and the protocol's state space
-        enumerates, the lazily filled batched table otherwise (the step loop
-        only for specs that need it); trial outcomes are bit-identical on
-        every tier.  Validated against the spec immediately, so e.g. forcing
-        a table tier onto the oracle-backed ``fischer-jiang`` (or ``numpy``
-        without numpy installed) fails here rather than mid-run.
+        ``"auto"`` runs the batched engine's lazily filled table (the step
+        loop only for specs that need it); trial outcomes are bit-identical
+        on both engines.  Validated against the spec immediately, so e.g.
+        forcing the table onto the oracle-backed ``fischer-jiang`` fails
+        here rather than mid-run.
         """
         self._spec.resolve_engine(mode)
         self._engine = mode

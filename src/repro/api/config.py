@@ -2,8 +2,7 @@
 
 :class:`ExperimentConfig` is the single bag of sweep parameters understood by
 every layer of the stack — the :mod:`repro.api.registry` specs, the trial
-executor, the fluent builder, and the legacy experiment harnesses (which
-re-export it unchanged for backwards compatibility).  It is a frozen,
+executor, the fluent builder, and the experiment modules.  It is a frozen,
 picklable dataclass so trial tasks can ship it to worker processes verbatim.
 """
 
@@ -28,13 +27,10 @@ class ExperimentConfig:
     w.h.p. margin, not the asymptotic shape).
 
     ``engine`` selects the simulation engine for every trial: ``"auto"``
-    (default) picks the fastest applicable tier — the vectorized ``numpy``
-    engine when numpy is installed and the protocol's state space can be
-    enumerated, the lazily filled batched table otherwise (the step loop
-    only for specs that need it); ``"step"`` forces the step loop;
-    ``"batched"``/``"numpy"`` require that tier and error when it does not
-    apply.  Every engine produces bit-identical trial results for the same
-    seed.
+    (default) runs the batched engine's lazily filled table, and the step
+    loop only for specs that need it; ``"step"`` forces the step loop;
+    ``"batched"`` requires the table and errors when it does not apply.
+    Both engines produce bit-identical trial results for the same seed.
 
     ``check_backoff`` turns on the geometric check-interval backoff in
     ``run_until``: the interval between stop-predicate evaluations starts at
@@ -84,8 +80,8 @@ class ExperimentConfig:
         """A hashable identity for batch-level caches (``sizes`` tuple-ized).
 
         Two configs with equal keys produce identical trials, so batch
-        resources compiled for one — shared encoders, worker-side config
-        records — can serve the other.  Derived from the dataclass fields so
+        resources built for one — worker-side config records — can serve
+        the other.  Derived from the dataclass fields so
         a future field can never be silently left out of the identity.
         """
         return tuple(

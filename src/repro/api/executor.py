@@ -32,18 +32,6 @@ initializer argument), not once per trial.  Specs registered at import time
 are therefore visible in every worker; specs registered dynamically at
 runtime additionally require the ``fork`` start method (the default on
 Linux, and forced below when available).
-
-Shared encoder compilation
---------------------------
-Numpy-tier trials used to recompile the same ``|Q|^2`` transition table
-once per trial.  :func:`shared_encoder` compiles it once per
-``(spec, n, config)`` batch into a small process-local cache, seeded to
-cover the batch's adversarial families (see
-:func:`repro.core.encoding.coverage_seeds`); the serial path reuses the
-cache directly and, under ``fork``, warmed parents hand the compiled tables
-(numpy arrays included) to every worker for free.  A trial whose initial
-configuration the shared table does not cover silently recompiles its own —
-sharing is an optimization, never a semantic change.
 """
 
 from __future__ import annotations
@@ -96,8 +84,7 @@ class PhaseResult:
     #: True when the phase's stop condition was met inside its budget
     #: (always True for fixed-budget "run" phases).
     converged: bool
-    #: Engine that executed this phase (a perturbation can force a tier
-    #: change mid-scenario, e.g. corrupted states the shared table misses).
+    #: Engine that executed this phase.
     engine: str = "step"
     #: Population size this phase ran at (churn changes it).
     population_size: int = 0
@@ -120,10 +107,9 @@ class TrialResult:
     steps: int
     converged: bool
     wall_time: float
-    #: Which engine actually executed the trial ("step", "batched", or
-    #: "numpy") — observability for the auto engine's tier choice.  All
-    #: engines produce identical steps/converged for the same seeds.
-    #: Scenario trials whose phases ran on different tiers report "mixed".
+    #: Which engine actually executed the trial ("step" or "batched") —
+    #: observability for the auto engine's tier choice.  All engines
+    #: produce identical steps/converged for the same seeds.
     engine: str = "step"
     #: Display name of the protocol instance that ran.  The worker builds
     #: the protocol anyway, so reporting the name here lets aggregators
@@ -166,8 +152,8 @@ def trial_tasks(
 ) -> List[TrialTask]:
     """Derive the per-trial seed pairs for one batch, in trial order.
 
-    ``rng_label`` defaults to ``spec_name``; the harness shims override it to
-    reproduce the exact random streams of the pre-registry adapters.
+    ``rng_label`` defaults to ``spec_name``; callers override it to
+    reproduce a spec's own stream label (``ProtocolSpec.rng_label``).
     """
     count = config.trials if trials is None else trials
     if count < 1:
@@ -192,88 +178,16 @@ def trial_tasks(
     return tasks
 
 
-# ---------------------------------------------------------------------- #
-# Shared encoder compilation (one table per batch, not per trial)
-# ---------------------------------------------------------------------- #
-_ENCODER_CACHE: "Dict[Tuple, object]" = {}
-_ENCODER_CACHE_LIMIT = 64
-
-#: Cache value for "nothing to share, but the batch may still encode":
-#: protocols without canonical seed states compile per trial from their
-#: initial configurations, exactly as before encoder sharing existed.
-UNSHARED = object()
-
-
-def shared_encoder(spec_name: str, n: int, config: ExperimentConfig):
-    """The batch-shared compiled encoder for ``(spec, n, config)``.
-
-    Returns the compiled :class:`StateEncoder`, ``None`` when the batch is
-    established not to enumerate (the auto engine then runs every trial on
-    the lazily filled batched table), or :data:`UNSHARED` when no
-    batch-level seed states exist
-    (base-class ``canonical_states``) — then each trial compiles from its
-    own initial configuration, as it always did.  Entries are cached so
-    repeated lookups stay O(1), with numpy tables materialized eagerly when
-    numpy is installed so a parent that warms the cache before forking hands
-    workers fully-compiled arrays.
-    """
-    key = (spec_name, n, config.cache_key())
-    if key in _ENCODER_CACHE:
-        return _ENCODER_CACHE[key]
-    from repro.api.registry import get_spec
-    from repro.core.encoding import StateEncoder, coverage_seeds
-    from repro.core.fast_simulator import numpy_available
-
-    spec = get_spec(spec_name)
-    try:
-        mode = spec.resolve_engine(config.engine)
-    except ValueError:
-        mode = "step"  # the executor's caller reports the error loudly
-    if mode == "step":
-        encoder = None
-    else:
-        protocol = spec.build_protocol(n, config)
-        seeds = coverage_seeds(protocol)
-        encoder = StateEncoder.try_build(protocol, seeds) if seeds else UNSHARED
-        if encoder not in (None, UNSHARED) and numpy_available():
-            encoder.numpy_tables()
-    if len(_ENCODER_CACHE) >= _ENCODER_CACHE_LIMIT:
-        _ENCODER_CACHE.pop(next(iter(_ENCODER_CACHE)))
-    _ENCODER_CACHE[key] = encoder
-    return encoder
-
-
-def warm_shared_encoders(tasks: Sequence[TrialTask]) -> None:
-    """Compile every distinct batch's shared encoder in this process.
-
-    Called by :func:`run_trials` in the parent before the pool is created:
-    under the ``fork`` start method the workers inherit the compiled tables,
-    converting an O(trials * |Q|^2) compilation cost into O(|Q|^2) per batch.
-    Without numpy nothing reads the tables, so nothing is compiled.
-    """
-    from repro.core.fast_simulator import numpy_available
-
-    if not numpy_available():
-        return
-    seen = set()
-    for task in tasks:
-        key = (task.spec_name, task.population_size, task.config.cache_key())
-        if key not in seen:
-            seen.add(key)
-            shared_encoder(task.spec_name, task.population_size, task.config)
-
-
 def execute_trial(task: TrialTask) -> TrialResult:
     """Run one trial to its stop predicate (serial path and worker entry point).
 
-    The engine comes from ``task.config.engine``: ``"auto"`` picks the
-    fastest tier whose requirements the protocol meets (numpy, else batched
-    — see :meth:`repro.api.registry.ProtocolSpec.build_simulation`).  Either
-    way the trial's random streams — and therefore its step count and
-    outcome — are bit-identical.
+    The engine comes from ``task.config.engine``: ``"auto"`` runs the
+    batched engine's lazy table unless the spec needs the step engine (see
+    :meth:`repro.api.registry.ProtocolSpec.build_simulation`).  Either way
+    the trial's random streams — and therefore its step count and outcome —
+    are bit-identical.
     """
     from repro.api.registry import get_spec
-    from repro.core.fast_simulator import numpy_available
 
     spec = get_spec(task.spec_name)
     protocol = spec.build_protocol(task.population_size, task.config)
@@ -283,18 +197,6 @@ def execute_trial(task: TrialTask) -> TrialResult:
         RandomSource(task.configuration_seed),
         population=population,
     )
-    engine = task.config.engine
-    mode = spec.resolve_engine(engine)
-    encoder = None
-    if mode == "numpy" or (mode == "auto" and numpy_available()):
-        # Only the numpy tier reads a table compiled up front.
-        encoder = shared_encoder(task.spec_name, task.population_size, task.config)
-        if encoder is UNSHARED:
-            encoder = None  # no batch seeds: compile per trial, as always
-        elif encoder is None and mode == "auto":
-            # The batch-level lookup already established that the numpy tier
-            # does not apply; skip re-proving it on every trial.
-            engine = "batched"
     if task.config.scenario:
         # Phased scenario: the runtime replays phase 0 exactly like the
         # legacy path below (same ingredients, same streams) and then
@@ -303,8 +205,7 @@ def execute_trial(task: TrialTask) -> TrialResult:
         from repro.scenario.runtime import execute_scenario
 
         started = time.perf_counter()
-        outcome = execute_scenario(spec, task, protocol, population, initial,
-                                   engine=engine, encoder=encoder)
+        outcome = execute_scenario(spec, task, protocol, population, initial)
         return TrialResult(
             trial=task.trial,
             steps=outcome.steps,
@@ -317,7 +218,7 @@ def execute_trial(task: TrialTask) -> TrialResult:
     started = time.perf_counter()
     simulation = spec.build_simulation(
         protocol, population, initial, RandomSource(task.scheduler_seed),
-        engine=engine, encoder=encoder,
+        engine=task.config.engine,
     )
     predicate = spec.build_stop_predicate(protocol, population)
     run = simulation.run_until(
@@ -423,9 +324,6 @@ def _result_stream(tasks: Sequence[TrialTask], workers: Optional[int],
         for task in tasks:
             yield execute_trial(task)
         return
-    # Compile each batch's shared encoder up front: under fork the workers
-    # inherit the tables; under spawn each worker compiles once per batch.
-    warm_shared_encoders(tasks)
     configs: List[ExperimentConfig] = []
     config_ids: Dict[Tuple, int] = {}
     items: List[_LightTask] = []

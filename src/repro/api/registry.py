@@ -1,13 +1,12 @@
 """The :class:`ProtocolSpec` registry: every runnable protocol, declaratively.
 
-Before this module existed, each protocol had a hand-written ``run_*``
-adapter in ``experiments/harness.py`` wiring together the same five
-ingredients: a protocol factory, a population, an initial-configuration
-family, a stop predicate, and (for the oracle baseline) a custom simulation.
-A :class:`ProtocolSpec` names those ingredients once; :func:`run_spec` then
-runs *any* registered protocol with one generic code path, and the CLI's
-``run``/``list`` commands, the fluent :mod:`repro.api.builder`, and the
-parallel :mod:`repro.api.executor` all drive the same registry.
+A :class:`ProtocolSpec` names the five ingredients of a run once: a
+protocol factory, a population, an initial-configuration family, a stop
+predicate, and (for the oracle baseline) a custom simulation.
+:func:`run_spec` then runs *any* registered protocol with one generic code
+path, and the CLI's ``run``/``list`` commands, the fluent
+:mod:`repro.api.builder`, and the parallel :mod:`repro.api.executor` all
+drive the same registry.
 
 Two kinds of spec exist:
 
@@ -20,7 +19,7 @@ Two kinds of spec exist:
   the model so every listed spec is runnable.
 
 Registering a new protocol is one :func:`register` call; nothing in the
-harness, CLI, or builder needs editing.
+experiments, CLI, or builder needs editing.
 """
 
 from __future__ import annotations
@@ -36,14 +35,10 @@ from repro.analysis.convergence import (
 from repro.api.config import ExperimentConfig
 from repro.api.executor import BatchRequest, TrialResult, batch_tasks, run_trials
 from repro.core.configuration import Configuration, random_configuration
-from repro.core.encoding import StateEncoder
 from repro.core.fast_simulator import (
     ENGINES,
     BatchedSimulation,
-    NumpySimulation,
     batched_simulation_factory,
-    numpy_available,
-    numpy_simulation_factory,
 )
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource
@@ -100,7 +95,7 @@ class CheckPolicy:
     #: ``violated``.
     closure_topologies: Optional[Tuple[str, ...]] = None
     #: Enumeration cap for the checker's encoder build (per-spec override
-    #: for protocols whose reachable space is larger than the engine
+    #: for protocols whose reachable space is larger than the encoder's
     #: default but still checkable).
     max_states: int = 512
     #: Executor trials the quantitative cross-validation gate runs when
@@ -134,18 +129,16 @@ class ProtocolSpec:
     supported_topologies: Optional[Tuple[str, ...]] = None
     supports: Callable[[int], bool] = _any_ring
     supported_note: str = "any ring size n >= 2"
-    #: Prefix of the master RNG label (defaults to ``name``); the harness
-    #: shims override it per call to reproduce the pre-registry streams.
+    #: Prefix of the master RNG label (defaults to ``name``); a run may
+    #: override it per call (``run_spec(..., rng_label=...)``).
     rng_label: Optional[str] = None
     analytic_model: Optional[AnalyticModel] = None
     reference: str = ""
-    #: Engine policy for this protocol: ``"auto"`` (fastest applicable tier —
-    #: numpy when the state space enumerates and numpy is installed, the
-    #: lazily filled batched table otherwise), ``"step"`` (the protocol needs
-    #: the step engine — e.g. an oracle-augmented simulation that inspects
-    #: the global configuration every step), or ``"batched"``/``"numpy"``
-    #: (that tier must apply; failure is an error rather than a silent
-    #: fallback).
+    #: Engine policy for this protocol: ``"auto"`` (the batched engine's
+    #: lazily filled table), ``"step"`` (the protocol needs the step engine
+    #: — e.g. an oracle-augmented simulation that inspects the global
+    #: configuration every step), or ``"batched"`` (that tier must apply;
+    #: failure is an error rather than a silent fallback).
     simulation_mode: str = "auto"
     #: Model-checking policy (see :class:`CheckPolicy`); ``None`` means
     #: the checker's defaults — every claim checked on every supported
@@ -328,23 +321,16 @@ class ProtocolSpec:
         """Combine a requested engine with this spec's policy.
 
         An explicit ``"step"`` request always wins; ``"auto"`` defers to the
-        spec's ``simulation_mode``; ``"batched"``/``"numpy"`` are rejected
-        for specs that require the step engine (running them through a table
-        would silently change their semantics, not just their speed), and
-        ``"numpy"`` additionally requires the optional numpy dependency —
-        both fail fast here, before any trial runs.
+        spec's ``simulation_mode``; ``"batched"`` is rejected for specs that
+        require the step engine (running them through a table would
+        silently change their semantics, not just their speed) — failing
+        fast here, before any trial runs.
         """
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         mode = self.simulation_mode if engine == "auto" else engine
-        if mode == "numpy" and not numpy_available():
-            raise ValueError(
-                "--engine numpy requires the optional numpy dependency; "
-                "install numpy or use --engine auto (which falls back to the "
-                "batched tier)"
-            )
         if self.requires_step_engine:
-            if mode in ("batched", "numpy"):
+            if mode == "batched":
                 raise ValueError(
                     f"protocol {self.name!r} requires the step engine "
                     f"(custom simulation semantics); --engine {mode} does not apply"
@@ -355,23 +341,15 @@ class ProtocolSpec:
     def build_simulation(self, protocol: Protocol, population: Population,
                          initial: Configuration, rng: RandomSource,
                          engine: str = "auto",
-                         encoder: "StateEncoder | None" = None,
                          scheduler=None,
-                         ) -> "Simulation | BatchedSimulation | NumpySimulation":
+                         ) -> "Simulation | BatchedSimulation":
         """Build the simulation for one trial on the resolved engine.
 
-        ``auto`` prefers the fastest applicable tier: the vectorized numpy
-        engine when numpy is installed and the protocol's state space
-        enumerates, the lazily filled batched table otherwise.
-        ``encoder`` may carry a batch-shared compiled encoder for the numpy
-        tier (see :func:`repro.api.executor.shared_encoder`); it is used only
-        when it covers this trial's initial configuration, with a per-trial
-        build as the fallback, so sharing never changes results.
-
-        Any encoder is built *before* a draw is taken from ``rng``, and all
-        engine factories consume exactly one ``rng.randint`` in the same
-        position, so the random streams — and therefore every trial result —
-        are bit-identical whichever engine ends up running.
+        ``auto`` runs every spec that does not need the step engine on the
+        batched engine's lazily filled table.  Both engine factories consume
+        exactly one ``rng.randint`` in the same position, so the random
+        streams — and therefore every trial result — are bit-identical
+        whichever engine ends up running.
 
         ``scheduler`` (an explicit :class:`~repro.core.scheduler.Scheduler`,
         e.g. the scenario runtime's biased-arc scheduler) replaces the
@@ -393,16 +371,6 @@ class ProtocolSpec:
                 return Simulation(protocol, population, initial,
                                   scheduler=scheduler)
             return self.simulation_factory(protocol, population, initial, rng)
-        if mode != "batched" and numpy_available():
-            if encoder is None or not encoder.covers(initial.states()):
-                build = StateEncoder.build if mode == "numpy" else StateEncoder.try_build
-                encoder = build(protocol, initial.states())
-            if encoder is not None:
-                if scheduler is not None:
-                    return NumpySimulation(protocol, population, initial,
-                                           scheduler=scheduler, encoder=encoder)
-                return numpy_simulation_factory(protocol, population, initial, rng,
-                                                encoder=encoder)
         if scheduler is not None:
             return BatchedSimulation(protocol, population, initial,
                                      scheduler=scheduler)
@@ -469,9 +437,9 @@ def run_spec(
     configuration from ``family`` (the spec's default when omitted), and run
     until the spec's stop predicate holds.  ``workers`` > 1 fans the trials
     out over processes with identical results (see :mod:`repro.api.executor`).
-    ``engine`` overrides ``config.engine`` (default ``"auto"``: the numpy
-    tier when the protocol encodes and numpy is installed, the lazily filled
-    batched table otherwise — trial outcomes are bit-identical either way).
+    ``engine`` overrides ``config.engine`` (default ``"auto"``: the lazily
+    filled batched table, or the step engine for specs that need it — trial
+    outcomes are bit-identical either way).
     ``store`` (a :class:`repro.store.ResultsStore`) serves cached trials
     from disk and persists fresh ones, again with bit-identical results.
     """

@@ -5,8 +5,8 @@ Two pillars, one package:
 * :mod:`repro.check.model` / :mod:`repro.check.graph` — exhaustive
   verification of the self-stabilization claims (closure, stabilization
   reachability, livelock freedom) on the explicit configuration graph of
-  each registered simulated spec, via the same compiled transition tables
-  the batched/numpy engines execute.  Surface: :func:`verify_spec`,
+  each registered simulated spec, compiled from the same ``transition``
+  the engines execute.  Surface: :func:`verify_spec`,
   :func:`verify_all`, and ``repro-ssle check``.
 
 * :mod:`repro.check.quant` / :mod:`repro.check.probability` /

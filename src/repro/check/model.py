@@ -10,8 +10,8 @@ configuration graph.  This module turns that into per-spec verdicts:
   admit ``n`` (a 3x3 torus needs nine agents; ``|Q|=96`` protocols top
   out at ``n=3`` under the ~1e6-config default budget);
 * compile the spec's protocol through :class:`StateEncoder` (the same
-  tables the batched/numpy engines execute, so the object being verified
-  is the object being simulated), seeded by :func:`coverage_seeds` so
+  ``transition`` the engines execute, so the object being verified is
+  the object being simulated), seeded by :func:`coverage_seeds` so
   adversarial starts are inside the checked space;
 * run the full-graph analysis and fold the results into a JSON-ready
   report, plus **table hygiene**: reachable-state count vs the declared
@@ -96,12 +96,12 @@ def _hygiene(protocol, encoder: StateEncoder,
 
     ``exceeds_declared_bound`` is the one *violation* here: more reachable
     states than ``state_space_size()`` declares means transitions escape
-    the declared bound (the engine-selection precheck would lie).
+    the declared bound (the encoder's declared-bound precheck would lie).
     ``transient_codes`` — states no transition ever produces, reachable
     only as initial conditions — and the canonical closure size are
     informational.
     """
-    initiator_out, responder_out, _, _ = encoder.tables()
+    initiator_out, responder_out, _ = encoder.tables()
     produced = set(initiator_out) | set(responder_out)
     transient = [code for code in range(encoder.num_states)
                  if code not in produced]
@@ -206,7 +206,7 @@ def _check_point(spec: ProtocolSpec, policy: CheckPolicy, topology: str,
     """
     population = build_topology(topology, n)
     predicate = spec.build_stop_predicate(protocol, population)
-    initiator_out, responder_out, changed, _ = encoder.tables()
+    initiator_out, responder_out, changed = encoder.tables()
     full = ConfigurationGraph(encoder.num_states, n, list(population.arcs),
                               initiator_out, responder_out, changed)
     graph = QuotientGraph(full, reduction) if reduction is not None else full

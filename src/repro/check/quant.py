@@ -210,7 +210,7 @@ def _quant_point(spec: ProtocolSpec, policy: CheckPolicy, topology: str,
                     f"space to {encoder.num_states} states "
                     f"({budget_nodes} nodes), over the {max_configs} budget"),
             }
-    initiator_out, responder_out, changed, _ = encoder.tables()
+    initiator_out, responder_out, changed = encoder.tables()
     full = ConfigurationGraph(encoder.num_states, n, list(population.arcs),
                               initiator_out, responder_out, changed)
     graph = QuotientGraph(full, reduction) if reduction is not None else full

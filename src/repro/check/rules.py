@@ -14,11 +14,11 @@ REP002   No ``random.Random`` / module-level ``random.*`` outside
          :class:`RandomSource` so streams are labelled, spawnable, and
          replayable; a stray ``random.random()`` silently desynchronises
          serial and parallel runs.
-REP003   No module-scope ``import numpy`` in ``repro.core`` /
-         ``repro.topology``.  numpy is an optional dependency: the step
-         and batched tiers must import cleanly without it, so numpy
-         imports in those packages live inside the functions that need
-         them.
+REP003   No module-scope numpy import in ``repro.core`` /
+         ``repro.topology``.  The package runs on the standard library
+         alone (no engine uses numpy), so the engines and populations
+         must import cleanly where numpy is absent; an optional
+         accelerator would import it inside the function that needs it.
 REP004   No wall clock (``time.time`` / ``datetime.now`` / ...) in
          result-identity paths — the executor, the core engines, and the
          store's content addressing.  A timestamp in a digest or a seed
@@ -58,14 +58,13 @@ inventory:
   identity), so the fabric needs no allows at all.
 * REP006 — the engines' immutable shared fields, audited per class:
   ``Simulation`` (protocol, population, observers — rebound, never
-  mutated mid-run), ``BatchedSimulation`` and ``NumpySimulation``
-  (protocol, population, encoder, arc list, compiled flat tables, and
-  layout constants — all invariant for the simulation's lifetime; the
-  mutable run state they parameterize — codes, stream position,
-  counters — is exactly what ``snapshot()`` captures), plus
-  ``BatchedSimulation``'s lazy table, its index, the coded states, their
-  leader flags and the rebuild point: caches of a pure function, which a
-  restore re-codes from the captured states.
+  mutated mid-run) and ``BatchedSimulation`` (protocol, population, arc
+  list and layout constants — invariant for the simulation's lifetime;
+  the mutable run state they parameterize — codes, stream position,
+  counters — is exactly what ``snapshot()`` captures — plus the lazy
+  table, its index, the coded states, their leader flags and the rebuild
+  point: caches of a pure function, which a restore re-codes from the
+  captured states).
 """
 
 from __future__ import annotations
@@ -194,17 +193,18 @@ def _visit_rep002(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
 
 
 def _visit_rep003(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
-    message = ("numpy is optional; import it inside the function that "
-               "needs it so the module imports cleanly without it")
+    message = ("the package runs without numpy; import it inside the "
+               "function that needs it so the module imports cleanly "
+               "without it")
     for node in _module_scope_nodes(tree):
         if isinstance(node, ast.Import):
             if any(alias.name == "numpy" or alias.name.startswith("numpy.")
                    for alias in node.names):
-                yield node, f"module-scope import numpy: {message}"
+                yield node, f"module-scope numpy import: {message}"
         elif isinstance(node, ast.ImportFrom):
             if node.module and (node.module == "numpy"
                                 or node.module.startswith("numpy.")):
-                yield node, f"module-scope from numpy import: {message}"
+                yield node, f"module-scope import from numpy: {message}"
 
 
 def _visit_rep004(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
@@ -378,7 +378,7 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         code="REP003",
         summary="no module-scope numpy import in repro.core / "
-                "repro.topology (numpy is optional)",
+                "repro.topology (the package runs without numpy)",
         applies_to=_in_packages("repro.core", "repro.topology"),
         visit=_visit_rep003,
     ),

@@ -158,13 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="steps between stop-predicate checks (default: 128)")
     sweep.add_argument("--seed", type=int, default=2023, help="master random seed")
     sweep.add_argument("--engine", choices=ENGINES, default="auto",
-                       help="simulation engine: auto picks the fastest applicable "
-                            "tier — the vectorized numpy engine when numpy is "
-                            "installed and the protocol's state space enumerates, "
-                            "otherwise the batched engine's lazily filled "
-                            "transition table, and the step loop only for "
-                            "oracle specs; results are bit-identical on every "
-                            "tier (default: auto)")
+                       help="simulation engine: auto runs the batched engine's "
+                            "lazily filled transition table, and the step loop "
+                            "only for oracle specs; results are bit-identical "
+                            "on both engines (default: auto)")
     sweep.add_argument("--check-backoff", action="store_true",
                        help="double the stop-predicate check interval after every "
                             "unsatisfied check (geometric backoff, capped), trading "
@@ -302,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--no-simulate", action="store_true",
                        help="--quant only: report exact values without "
                             "running the executor gate")
-    check.add_argument("--engine", choices=("auto", "step", "batched",
-                                            "numpy"), default="auto",
+    check.add_argument("--engine", choices=ENGINES, default="auto",
                        help="engine the --quant gate simulates with "
                             "(default: auto)")
     check.add_argument("--store", default=None, metavar="PATH",
@@ -1198,10 +1194,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(error))
         return 2  # pragma: no cover - parser.error raises SystemExit
     except StateSpaceError as error:
-        # Only reachable with --engine numpy forced onto a protocol whose
-        # state space cannot be enumerated: a usage problem, not a crash.
-        parser.error(f"{error} (--engine batched fills its table lazily and "
-                     "needs no enumeration)")
+        # Reachable when a protocol's states are neither hashable nor
+        # dataclasses, so the lazy table cannot code them: a usage problem,
+        # not a crash.
+        parser.error(f"{error} (--engine step runs states the table cannot "
+                     "code)")
         return 2  # pragma: no cover - parser.error raises SystemExit
     # Commands that gate CI (`check`) report their verdict as an exit code
     # alongside the payload; everything else exits 0 on success.

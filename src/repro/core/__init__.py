@@ -20,10 +20,7 @@ from repro.core.errors import (
 from repro.core.fast_simulator import (
     ENGINES,
     BatchedSimulation,
-    NumpySimulation,
     batched_simulation_factory,
-    numpy_available,
-    numpy_simulation_factory,
 )
 from repro.core.metrics import LeaderTrajectory, StepMetrics
 from repro.core.protocol import (
@@ -66,7 +63,6 @@ __all__ = [
     "LEADER_OUTPUT",
     "LeaderElectionProtocol",
     "LeaderTrajectory",
-    "NumpySimulation",
     "Protocol",
     "RandomSource",
     "ReproError",
@@ -83,8 +79,6 @@ __all__ = [
     "UniformRandomScheduler",
     "batched_simulation_factory",
     "concat",
-    "numpy_available",
-    "numpy_simulation_factory",
     "configuration_from_factory",
     "ensure_source",
     "full_clockwise_sweep",

@@ -1,36 +1,25 @@
 """State-space encoding: compile a protocol into an integer transition table.
 
-The step-by-step :class:`~repro.core.simulator.Simulation` pays one Python
-call to ``protocol.transition`` — building two fresh state objects, comparing
-them for equality, and touching several attributes — for **every** scheduled
-interaction.  The convergence experiments execute millions of interactions
-per trial, so that call is the hot path of the whole repository.
+For protocols with a small state space there are only ``|Q|^2`` distinct
+interactions.  A :class:`StateEncoder` enumerates the reachable state space
+once (closure of the seed states under the transition function), assigns
+each state an integer code, and compiles the transition function into dense
+flat tables indexed by ``initiator_code * |Q| + responder_code``.  The model
+checker (:mod:`repro.check`) builds its configuration graphs from those
+tables.  (The batched engine, :mod:`repro.core.fast_simulator`, fills its
+own table lazily and needs no enumeration; it codes states with the same
+:func:`state_key`.)
 
-For protocols with a small state space the work per interaction is wildly
-redundant: there are only ``|Q|^2`` distinct interactions.  A
-:class:`StateEncoder` enumerates the reachable state space once (closure of
-the seed states under the transition function), assigns each state an integer
-code, and compiles the transition function into dense flat tables indexed by
-``initiator_code * |Q| + responder_code``.  The numpy engine
-(:mod:`repro.core.fast_simulator`) then replays interactions as vectorized
-gathers through those tables instead of one protocol call per step.  (The
-batched engine fills its own table lazily and needs no enumeration; it codes
-states with the same :func:`state_key`.)
-
-The enumerate-or-fallback contract
-----------------------------------
+The enumerate-or-raise contract
+-------------------------------
 ``StateEncoder.build`` either returns a *complete* table — every state
-reachable from the seeds is encoded, so a simulation driven by the table can
-never step outside it — or raises :class:`StateSpaceError`:
+reachable from the seeds is encoded, so a run driven by the table can never
+step outside it — or raises :class:`StateSpaceError`:
 
 * immediately, when the protocol's declared ``state_space_size()`` bound
   already exceeds ``max_states`` (no enumeration work is wasted on protocols
   like ``P_PL`` whose state space is super-polylogarithmic in practice);
 * during enumeration, when the closure grows past ``max_states``.
-
-Callers that want the fallback rather than the error use
-:meth:`StateEncoder.try_build` and drop to the lazily filled batched table
-on ``None``.
 """
 
 from __future__ import annotations
@@ -38,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from typing import (
-    Callable, Dict, Generic, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar,
+    Callable, Dict, Generic, Hashable, Iterable, List, Sequence, Tuple, TypeVar,
 )
 
 from repro.core.errors import InvalidParameterError, InvalidStateError, StateSpaceError
@@ -48,9 +37,9 @@ from repro.core.rng import RandomSource
 StateT = TypeVar("StateT")
 
 #: Enumeration cap: |Q| states means |Q|^2 compiled transitions, so the cap
-#: bounds table build time (~|Q|^2 protocol calls) and memory (4 flat lists of
-#: |Q|^2 ints).  512 states -> at most ~262k transition calls, well under a
-#: second, amortized over the millions of steps a trial then executes.
+#: bounds table build time (~|Q|^2 protocol calls) and memory (3 flat lists of
+#: |Q|^2 entries).  512 states -> at most ~262k transition calls, well under a
+#: second.
 DEFAULT_MAX_STATES = 512
 
 
@@ -82,7 +71,7 @@ def state_key(state: object) -> Hashable:
         else:
             raise StateSpaceError(
                 f"states of type {cls.__name__} are neither hashable nor "
-                "dataclasses; the encoder cannot key them"
+                "dataclasses; they cannot be given integer codes"
             )
         _KEY_FUNCTIONS[cls] = key
     return key(state)
@@ -97,8 +86,7 @@ def fresh_copy(state: StateT) -> StateT:
 class StateEncoder(Generic[StateT]):
     """Integer codes plus a compiled transition table for one protocol.
 
-    Instances are immutable after :meth:`build` and shared safely between
-    simulations of the same protocol whose initial states are covered.
+    Instances are immutable after :meth:`build`.
     """
 
     def __init__(
@@ -114,17 +102,9 @@ class StateEncoder(Generic[StateT]):
         self._index = index
         self._initiator_out = initiator_out
         self._responder_out = responder_out
-        self._numpy_tables: "Optional[Dict[str, object]]" = None
-        self._leader_flags = [protocol.is_leader(state) for state in states]
         width = len(states)
         self._changed = [
             initiator_out[qq] != qq // width or responder_out[qq] != qq % width
-            for qq in range(width * width)
-        ]
-        flags = self._leader_flags
-        self._leader_delta = [
-            flags[initiator_out[qq]] + flags[responder_out[qq]]
-            - flags[qq // width] - flags[qq % width]
             for qq in range(width * width)
         ]
 
@@ -220,31 +200,9 @@ class StateEncoder(Generic[StateT]):
             responder_out[qq] = nr
         return cls(protocol, states, index, initiator_out, responder_out)
 
-    @classmethod
-    def try_build(
-        cls,
-        protocol: Protocol[StateT],
-        seeds: Sequence[StateT] = (),
-        max_states: int = DEFAULT_MAX_STATES,
-        use_declared_bound: bool = True,
-    ) -> "Optional[StateEncoder[StateT]]":
-        """Like :meth:`build`, but returns ``None`` instead of raising
-        :class:`StateSpaceError` — the engine-selection spelling of the
-        enumerate-or-fallback contract."""
-        try:
-            return cls.build(protocol, seeds, max_states=max_states,
-                             use_declared_bound=use_declared_bound)
-        except StateSpaceError:
-            return None
-
     # ------------------------------------------------------------------ #
     # Codes
     # ------------------------------------------------------------------ #
-    @property
-    def protocol(self) -> Protocol[StateT]:
-        """The protocol this table was compiled from."""
-        return self._protocol
-
     @property
     def num_states(self) -> int:
         """``|Q|``: number of enumerated (reachable) states."""
@@ -265,23 +223,10 @@ class StateEncoder(Generic[StateT]):
         return [self.encode(state) for state in states]
 
     def covers(self, states: Iterable[StateT]) -> bool:
-        """True when every state of ``states`` is inside the enumerated space.
-
-        The coverage test behind encoder sharing: a cached encoder compiled
-        for one batch can serve a trial exactly when it covers that trial's
-        initial configuration (the table is a closure, so covered seeds can
-        never step outside it).
-        """
+        """True when every state of ``states`` is inside the enumerated space
+        (the table is a closure, so covered seeds can never step outside it)."""
         index = self._index
         return all(state_key(state) in index for state in states)
-
-    def decode(self, code: int) -> StateT:
-        """A state equal to the one ``code`` stands for (fresh copy if mutable)."""
-        return fresh_copy(self._states[code])
-
-    def decode_all(self, codes: Iterable[int]) -> List[StateT]:
-        """Fresh-copy decoding of a whole configuration, in agent order."""
-        return [self.decode(code) for code in codes]
 
     def decode_view(self, codes: Iterable[int]) -> List[StateT]:
         """Zero-copy decoding: representative objects, possibly aliased.
@@ -293,44 +238,16 @@ class StateEncoder(Generic[StateT]):
         return [states[code] for code in codes]
 
     # ------------------------------------------------------------------ #
-    # Compiled tables (consumed by the batched engine)
+    # Compiled tables (consumed by the model checker)
     # ------------------------------------------------------------------ #
-    def tables(self) -> Tuple[List[int], List[int], List[bool], List[int]]:
-        """``(initiator_out, responder_out, changed, leader_delta)``, each a
-        flat list indexed by ``initiator_code * num_states + responder_code``.
+    def tables(self) -> Tuple[List[int], List[int], List[bool]]:
+        """``(initiator_out, responder_out, changed)``, each a flat list
+        indexed by ``initiator_code * num_states + responder_code``.
 
         ``changed[qq]`` is exactly the step engine's "did some state change"
-        comparison; ``leader_delta[qq]`` is the net change in the number of
-        leader outputs, enabling O(1) incremental leader counts.
+        comparison.
         """
-        return self._initiator_out, self._responder_out, self._changed, self._leader_delta
-
-    def leader_flags(self) -> List[bool]:
-        """Per-code leader output, indexed by state code."""
-        return self._leader_flags
-
-    def numpy_tables(self) -> Dict[str, object]:
-        """The compiled tables as dense ``numpy`` arrays (built lazily, cached).
-
-        Keys: ``initiator_out`` / ``responder_out`` (``int64``, usable
-        directly as gather indices without an intp cast), ``changed``
-        (``bool``), ``leader_delta`` (``int64``), ``leader_flags``
-        (``int64`` 0/1).  One conversion serves every simulation sharing
-        this encoder — including the worker processes that inherit it
-        through ``fork``.  Raises ``ImportError`` when numpy is missing;
-        callers gate on :func:`repro.core.fast_simulator.numpy_available`.
-        """
-        if self._numpy_tables is None:
-            import numpy
-
-            self._numpy_tables = {
-                "initiator_out": numpy.array(self._initiator_out, dtype=numpy.int64),
-                "responder_out": numpy.array(self._responder_out, dtype=numpy.int64),
-                "changed": numpy.array(self._changed, dtype=bool),
-                "leader_delta": numpy.array(self._leader_delta, dtype=numpy.int64),
-                "leader_flags": numpy.array(self._leader_flags, dtype=numpy.int64),
-            }
-        return self._numpy_tables
+        return self._initiator_out, self._responder_out, self._changed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<StateEncoder protocol={self._protocol.name!r} "
@@ -339,24 +256,22 @@ class StateEncoder(Generic[StateT]):
 
 #: Probe draws for :func:`coverage_seeds`, relative to the declared state
 #: bound: with ``32 * bound`` uniform samples the chance of any reachable
-#: state being missed is below ``bound * e^-32`` — negligible, and a miss
-#: only costs the per-trial fallback rebuild, never correctness.
+#: state being missed is below ``bound * e^-32`` — negligible, and a start
+#: the seeds miss is added to the checker's seeds, never lost.
 _PROBE_FACTOR = 32
 _MAX_PROBES = 4096
 
 
 def coverage_seeds(protocol: Protocol[StateT],
                    max_states: int = DEFAULT_MAX_STATES) -> List[StateT]:
-    """Seed states for a *batch-shared* encoder.
+    """Seed states for an encoder that must cover adversarial starts.
 
-    A per-trial encoder is seeded with that trial's initial configuration, so
-    it covers it by construction.  A shared encoder is compiled before any
+    The model checker compiles one table per population size before any
     trial's configuration exists, so its seeds must span the states an
     adversarial family may draw: the canonical states plus a deterministic
     sweep of ``protocol.random_state`` samples (an independent fixed-label
     stream, so no trial stream is perturbed).  Protocols without a declared
-    finite bound get the canonical states only — they fall back to per-trial
-    compilation anyway.
+    finite bound get the canonical states only.
     """
     seeds = list(protocol.canonical_states())
     try:

@@ -55,15 +55,13 @@ class ConvergenceError(ReproError, RuntimeError):
 
 
 class StateSpaceError(ReproError, RuntimeError):
-    """A protocol's state space cannot be enumerated into a transition table.
+    """A protocol's states cannot be coded into a transition table.
 
     Raised by :class:`repro.core.encoding.StateEncoder` when the reachable
     state space exceeds the enumeration cap (or the protocol's declared
-    ``state_space_size`` bound already does), or when a state is neither
-    hashable nor a dataclass.  Engine selection treats the first case as
-    "use the lazily filled batched table instead of the numpy tier", so the
-    error is a routine control signal for large-state protocols such as
-    ``P_PL``.
+    ``state_space_size`` bound already does) — the model checker reports
+    such points as skipped — and by both the encoder and the batched
+    engine's lazy table when a state is neither hashable nor a dataclass.
     """
 
 

@@ -87,28 +87,6 @@ class RandomSource:
         """
         return getattr(self._random, "_randbelow", None) or self.randrange
 
-    def randbits_words(self, count: int) -> bytes:
-        """``count`` raw 32-bit generator outputs as little-endian bytes.
-
-        ``random.Random.getrandbits(32 * count)`` consumes exactly ``count``
-        outputs of the underlying Mersenne-Twister core and packs them into
-        one integer low-word-first, so the returned buffer contains the very
-        same 32-bit words that ``count`` individual ``getrandbits(32)`` calls
-        would produce, in order.  This is the bulk primitive behind the
-        vectorized engine's exact replay of the ``randrange`` stream: feed
-        these words through the same rejection rule ``_randbelow`` applies
-        (take the top ``bit_length(upper)`` bits, skip values ``>= upper``)
-        and the accepted values equal consecutive :meth:`randrange` results.
-
-        A source being drained this way is *owned* by its consumer: the bulk
-        read advances the stream past words that per-call consumers have not
-        yet seen, so mixing both access styles on one source diverges from
-        the per-call stream.
-        """
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        return self._random.getrandbits(32 * count).to_bytes(4 * count, "little")
-
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""
         return self._random.random()

@@ -88,7 +88,7 @@ class RunResult(Generic[StateT]):
 class Simulation(Generic[StateT]):
     """Executes one protocol on one population under one scheduler."""
 
-    #: The engine name trial results report ("step", "batched" or "numpy").
+    #: The engine name trial results report ("step" or "batched").
     tier = "step"
 
     def __init__(

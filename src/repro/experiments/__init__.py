@@ -35,30 +35,6 @@ from repro.experiments.scaling import (
 )
 from repro.experiments.table1 import Table1Row, build_table1, render_table1, run_and_render
 
-#: Names still re-exported from the deprecated harness shim.  Resolved
-#: lazily (PEP 562) so that merely importing :mod:`repro.experiments` does
-#: not trigger the shim's DeprecationWarning — only actually reaching for a
-#: legacy name does, which is exactly when the warning is deserved.
-_HARNESS_NAMES = frozenset({
-    "ProtocolRunner",
-    "SweepResult",
-    "run_angluin",
-    "run_fischer_jiang",
-    "run_ppl",
-    "run_ppl_leaderless",
-    "run_yokota",
-    "sweep",
-})
-
-
-def __getattr__(name: str):
-    if name in _HARNESS_NAMES:
-        from repro.experiments import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "DetectionRow",
     "EliminationRow",
@@ -67,7 +43,6 @@ __all__ = [
     "Figure2Result",
     "OrientationRow",
     "ScalingSeries",
-    "SweepResult",
     "Table1Row",
     "ascii_bar_chart",
     "build_table1",
@@ -88,12 +63,6 @@ __all__ = [
     "regenerate_figure2",
     "render_table1",
     "run_and_render",
-    "run_angluin",
-    "run_fischer_jiang",
-    "run_ppl",
-    "run_ppl_leaderless",
-    "run_yokota",
     "scaling_report",
     "scaling_summary",
-    "sweep",
 ]

@@ -19,16 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.convergence import ConvergenceResult
 from repro.analysis.stats import ScalingFit, best_growth_law
 from repro.api.config import ExperimentConfig
 from repro.api.executor import BatchRequest, run_batches
 from repro.api.registry import collect_convergence
 from repro.experiments.reporting import ascii_bar_chart, format_table
 
-if TYPE_CHECKING:  # the deprecated harness shim is only a type source here
-    from repro.experiments.harness import ProtocolRunner
+#: A protocol runner: (n, config) -> ConvergenceResult (see
+#: :func:`repro.api.registry.runner_for`).
+ProtocolRunner = Callable[[int, ExperimentConfig], ConvergenceResult]
 
 
 @dataclass
@@ -73,7 +75,7 @@ def fit_converged_points(sizes: Sequence[int], means: Sequence[float],
             failed)
 
 
-def measure_scaling(runner: "ProtocolRunner", label: str,
+def measure_scaling(runner: ProtocolRunner, label: str,
                     config: ExperimentConfig,
                     sizes: Optional[Sequence[int]] = None) -> ScalingSeries:
     """Sweep one protocol and fit its mean steps against the growth laws.
@@ -83,10 +85,7 @@ def measure_scaling(runner: "ProtocolRunner", label: str,
     :func:`scaling_series`, which drains every point's trials from one
     shared process pool.
     """
-    # One runner call per size, keyed and deduplicated like the legacy
-    # SweepResult (results are keyed by n) — inlined so this non-deprecated
-    # entry point does not import the deprecated harness shim (and trip its
-    # DeprecationWarning) just for a three-line loop.
+    # One runner call per size, keyed (and so deduplicated) by n.
     results = {n: runner(n, config)
                for n in (sizes if sizes is not None else config.sizes)}
     swept_sizes = sorted(results)
@@ -104,9 +103,11 @@ def _sweep_entries(include_baseline: bool,
                    from_leaderless: bool) -> List[_SweepEntry]:
     """The protocols of the Theorem-3.1 sweep, with their stream labels.
 
-    Families and rng labels reproduce :func:`repro.experiments.harness.run_ppl`
-    / ``run_ppl_leaderless`` / ``run_yokota`` exactly, so the pooled sweep is
-    bit-identical to the legacy one-runner-per-point path.
+    Families and rng labels equal those of the one-runner-per-point path
+    (``runner_for("ppl", family="adversarial")``, ``runner_for("ppl",
+    family="leaderless-trap", rng_label="ppl-leaderless")`` and
+    ``runner_for("yokota2021")``), so the pooled sweep is bit-identical to
+    it.
     """
     if from_leaderless:
         entries: List[_SweepEntry] = [
@@ -217,8 +218,6 @@ def scaling_summary(config: Optional[ExperimentConfig] = None,
 
     config = config or ExperimentConfig()
     summary: Dict[str, Optional[str]] = {}
-    # runner_for reproduces the harness shims' streams exactly (same spec
-    # rng labels and families) without importing the deprecated module.
     for runner, label in ((runner_for("ppl", family="adversarial"), "P_PL"),
                           (runner_for("yokota2021"), "Yokota2021")):
         series = measure_scaling(runner, label, config)

@@ -19,13 +19,13 @@ derives fresh, position-independent streams by pure ``spawn``:
 so a phase's randomness depends only on the trial seeds and the phase
 index — never on how many draws an earlier phase happened to consume.  Each
 phase *rebuilds* its simulation from the previous phase's final states
-(rather than continuing one stream across the boundary): the engines buffer
-generator words differently mid-run, and churn changes the arc space, so a
-shared stream could not stay bit-identical across tiers.  Rebuilding from a
+(rather than continuing one stream across the boundary): churn changes the
+arc space and bias swaps the scheduler, so a phase's stream must not depend
+on where the previous one stopped.  Rebuilding from a
 derived seed makes every phase exactly one engine-factory construction —
 each factory consumes one ``rng.randint`` in the same position — which is
-what keeps step == batched == numpy per phase, and serial == parallel for
-free (the seeds are derived before any fan-out).
+what keeps step == batched per phase, and serial == parallel for free (the
+seeds are derived before any fan-out).
 
 ``run_until`` is the segment primitive: within a phase the engine's counters
 and stream simply continue, and a repeated call resumes where the previous
@@ -36,7 +36,7 @@ resumable position).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.api.executor import PhaseResult, TrialTask
 from repro.core.configuration import Configuration
@@ -73,24 +73,19 @@ def _phase_rngs(task: TrialTask, index: int) -> Tuple[RandomSource, RandomSource
 
 
 def execute_scenario(spec, task: TrialTask, protocol, population,
-                     initial: Configuration, engine: Optional[str] = None,
-                     encoder=None) -> ScenarioOutcome:
+                     initial: Configuration) -> ScenarioOutcome:
     """Run ``task``'s scenario phase by phase; see the module docstring.
 
     ``spec`` is the resolved :class:`~repro.api.registry.ProtocolSpec`;
     ``protocol``/``population``/``initial`` are the phase-0 ingredients the
-    executor already built (identically to a legacy trial), ``engine`` the
-    executor's possibly-downgraded engine selection (defaults to the
-    config's), and ``encoder`` the batch-shared compiled encoder, if any —
-    dropped automatically once churn changes the population size.
+    executor already built (identically to a legacy trial).  Every phase
+    runs on the engine ``task.config.engine`` resolves to.
     """
     config = task.config
-    engine = config.engine if engine is None else engine
     phases = ScenarioSpec.from_canonical(config.scenario).phases
     states: List = initial.states()
     scheduler_factory = None
     phase_results: List[PhaseResult] = []
-    engines: List[str] = []
     total_steps = 0
     converged = True
     for index, phase in enumerate(phases):
@@ -105,11 +100,9 @@ def execute_scenario(spec, task: TrialTask, protocol, population,
                 scheduler_factory = outcome.scheduler_factory
             if outcome.size != len(states):
                 # Churn: re-wire the population (and rebuild the protocol,
-                # whose parameters may depend on n) at the new size; the
-                # batch-shared encoder compiled tables for the old protocol.
+                # whose parameters may depend on n) at the new size.
                 protocol = spec.build_protocol(outcome.size, config)
                 population = spec.build_population(outcome.size, config)
-                encoder = None
             states = outcome.states
 
         scheduler = None
@@ -117,9 +110,8 @@ def execute_scenario(spec, task: TrialTask, protocol, population,
             scheduler = scheduler_factory(population, scheduler_rng)
         simulation = spec.build_simulation(
             protocol, population, Configuration(list(states)), scheduler_rng,
-            engine=engine, encoder=encoder, scheduler=scheduler,
+            engine=config.engine, scheduler=scheduler,
         )
-        engines.append(simulation.tier)
 
         if phase.stop == "run":
             simulation.run(phase.budget)
@@ -141,19 +133,18 @@ def execute_scenario(spec, task: TrialTask, protocol, population,
             perturbation=phase.perturbation,
             steps=phase_steps,
             converged=phase_converged,
-            engine=engines[-1],
+            engine=simulation.tier,
             population_size=population.size,
         ))
         if not phase_converged:
             # A missed budget leaves nothing meaningful to perturb; stop
             # here and attribute the failure to this phase.
             break
-    unique_engines = sorted(set(engines))
     return ScenarioOutcome(
         phases=tuple(phase_results),
         steps=total_steps,
         converged=converged,
-        engine=unique_engines[0] if len(unique_engines) == 1 else "mixed",
+        engine=simulation.tier,
         protocol_name=protocol.name,
     )
 

@@ -7,7 +7,7 @@ The package splits into the layers a request passes through:
 - :mod:`repro.service.jobs` — the job record and its
   ``QUEUED -> RUNNING -> DONE | FAILED | CANCELLED`` state machine;
 - :mod:`repro.service.backend` — the one long-lived process pool every job
-  shares (worker-local encoder caches survive across jobs);
+  shares (worker imports survive across jobs);
 - :mod:`repro.service.manager` — the asyncio lifecycle brain tying the
   above to the PR-5 results store;
 - :mod:`repro.service.http` — the stdlib HTTP/JSON surface

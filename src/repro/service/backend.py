@@ -1,15 +1,12 @@
 """The warm execution backend: one long-lived pool shared by every job.
 
 Before the service existed, every experiment invocation paid the pool
-cold-start — fork the workers, re-import the package, recompile each
-batch's ``|Q|^2`` transition table — and threw all of it away on exit.
-:class:`WarmPool` keeps ONE :class:`~concurrent.futures.ProcessPoolExecutor`
-alive for the lifetime of the service process: jobs submit their trial
-tasks to it through the same :func:`repro.api.executor.run_trials` core the
-CLI uses (so results are bit-identical), and the workers' process-local
-``shared_encoder`` caches — keyed by ``(spec, n, config)`` — survive from
-job to job, so the second job on a ``(spec, n, config)`` it has seen pays
-zero compilation anywhere.
+cold-start — fork the workers, re-import the package — and threw it away on
+exit.  :class:`WarmPool` keeps ONE
+:class:`~concurrent.futures.ProcessPoolExecutor` alive for the lifetime of
+the service process: jobs submit their trial tasks to it through the same
+:func:`repro.api.executor.run_trials` core the CLI uses (so results are
+bit-identical), and the workers' imports survive from job to job.
 
 Each point runs through :meth:`run_point_async`, which pushes the blocking
 ``run_trials`` call onto a worker thread: the asyncio event loop (the HTTP
@@ -80,8 +77,7 @@ class WarmPool:
 
         A dead worker process poisons the whole executor — every later
         submission raises :class:`BrokenProcessPool` — so the only recovery
-        is a new pool.  The fresh workers' encoder caches start cold; the
-        first job per batch re-warms them.
+        is a new pool, whose fresh workers re-import the package.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)

@@ -79,21 +79,6 @@ class CompleteGraph(Population):
         responder = offset + 1 if offset >= initiator else offset
         return (initiator, responder)
 
-    def numpy_endpoints(self, indices):
-        """Closed-form vectorized :meth:`arc_by_index` (no materialization).
-
-        A complete graph's ``n*(n-1)`` arcs must never be materialized just
-        to be gathered from, so the index arithmetic of :meth:`arc_by_index`
-        is applied to the whole index array at once.
-        """
-        import numpy
-
-        initiators, offsets = numpy.divmod(
-            numpy.asarray(indices, dtype=numpy.int64), self._size - 1
-        )
-        responders = offsets + (offsets >= initiators)
-        return initiators, responders
-
     # ------------------------------------------------------------------ #
     # Population queries, in closed form
     # ------------------------------------------------------------------ #

@@ -129,46 +129,6 @@ class Population:
         """
         return self.arc_by_index(rng.randrange(self.num_arcs))
 
-    def _numpy_endpoint_arrays(self):
-        """Cached ``(initiators, responders)`` endpoint arrays (``int64``).
-
-        The cache lives here (an attribute rather than an ``__init__`` slot,
-        because lazy subclasses deliberately skip ``Population.__init__``);
-        subclasses customize the uncached :meth:`_build_endpoint_arrays`
-        hook, or override :meth:`numpy_endpoints` outright when even a
-        one-off materialization is too large (complete graphs).
-        """
-        cached = getattr(self, "_numpy_endpoints_cache", None)
-        if cached is None:
-            cached = self._build_endpoint_arrays()
-            self._numpy_endpoints_cache = cached
-        return cached
-
-    def _build_endpoint_arrays(self):
-        """Uncached endpoint-array construction, from the arc enumeration.
-
-        Closed-form subclasses override this with pure array arithmetic so
-        the build is vectorized and their tuple arc list stays lazy.
-        """
-        import numpy
-
-        arcs = numpy.array(self.arcs, dtype=numpy.int64).reshape(-1, 2)
-        return (numpy.ascontiguousarray(arcs[:, 0]),
-                numpy.ascontiguousarray(arcs[:, 1]))
-
-    def numpy_endpoints(self, indices):
-        """Vectorized :meth:`arc_by_index`: endpoint arrays for an index array.
-
-        ``indices`` is an integer ``numpy`` array of arc indices in
-        ``[0, num_arcs)``; the result is the ``(initiators, responders)``
-        pair of ``int64`` arrays, matching the arc enumeration element-wise.
-        The default gathers from endpoint arrays cached per population;
-        implicit-arc populations override it with a closed form so the hot
-        path never forces a large materialization.
-        """
-        initiators, responders = self._numpy_endpoint_arrays()
-        return initiators[indices], responders[indices]
-
     def agents(self) -> range:
         """Iterator over agent indices."""
         return range(self._size)

@@ -71,13 +71,6 @@ class DirectedRing(Population):
         """Number of clockwise hops from ``source`` to ``target``."""
         return (target - source) % self.size
 
-    def _build_endpoint_arrays(self):
-        """Closed-form endpoints: arc ``i`` is ``(i, i+1 mod n)``."""
-        import numpy
-
-        initiators = numpy.arange(self.size, dtype=numpy.int64)
-        return initiators, numpy.roll(initiators, -1)
-
 
 class UndirectedRing(Population):
     """Ring containing both arc directions, used by ``P_OR`` (Section 5)."""
@@ -96,17 +89,3 @@ class UndirectedRing(Population):
     def neighbors(self, agent: int) -> Tuple[int, int]:
         """The two ring neighbors ``(u_{agent-1}, u_{agent+1})``."""
         return ((agent - 1) % self.size, (agent + 1) % self.size)
-
-    def _build_endpoint_arrays(self):
-        """Closed-form endpoints: arcs ``2i``/``2i+1`` are ``i -> i+1`` / ``i+1 -> i``."""
-        import numpy
-
-        agents = numpy.arange(self.size, dtype=numpy.int64)
-        successors = numpy.roll(agents, -1)
-        initiators = numpy.empty(2 * self.size, dtype=numpy.int64)
-        responders = numpy.empty(2 * self.size, dtype=numpy.int64)
-        initiators[0::2] = agents
-        responders[0::2] = successors
-        initiators[1::2] = successors
-        responders[1::2] = agents
-        return initiators, responders

@@ -114,24 +114,6 @@ class Torus2D(Population):
         agent, direction = divmod(index, 4)
         return (agent, self._neighbor(agent, direction))
 
-    def _build_endpoint_arrays(self):
-        """Endpoint arrays materialized once, vectorized (``4n`` entries).
-
-        The tuple-of-tuples :attr:`arcs` list stays lazy; this builds the
-        two flat arrays directly from the ``4*agent + direction`` enumeration
-        with array arithmetic — no per-arc Python call.
-        """
-        import numpy
-
-        agents = numpy.repeat(numpy.arange(self._size, dtype=numpy.int64), 4)
-        rows, columns = numpy.divmod(agents, self._width)
-        dr = numpy.array([dr for dr, _ in self._DIRECTIONS], dtype=numpy.int64)
-        dc = numpy.array([dc for _, dc in self._DIRECTIONS], dtype=numpy.int64)
-        directions = numpy.tile(numpy.arange(4), self._size)
-        responders = ((rows + dr[directions]) % self._height) * self._width \
-            + (columns + dc[directions]) % self._width
-        return agents, responders
-
     # ------------------------------------------------------------------ #
     # Population queries, in closed form
     # ------------------------------------------------------------------ #

@@ -1,15 +1,13 @@
-"""Encoder sharing's coverage contract: a batch-shared table that misses a
-trial's initial state triggers a silent per-trial rebuild — an optimization
-miss, never a semantic change."""
+"""A planted state outside everything ``random_state`` draws: the checker's
+coverage probes miss it, and the lazily filled table that runs trials codes
+it on first sight, bit-identically to the step engine."""
 
 import pytest
 
 from repro.api.config import ExperimentConfig
-from repro.api.executor import shared_encoder
-from repro.api.registry import ProtocolSpec, get_spec, register, run_spec, unregister
+from repro.api.registry import ProtocolSpec, register, run_spec, unregister
 from repro.core.configuration import Configuration
-from repro.core.encoding import coverage_seeds
-from repro.core.fast_simulator import NumpySimulation, numpy_available
+from repro.core.encoding import StateEncoder, coverage_seeds
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource
 
@@ -18,9 +16,8 @@ class _PlantedProtocol(Protocol):
     """Copy dynamics over {0, 1, 2}: the initiator overwrites the responder.
 
     ``random_state`` only ever draws 0 or 1, so the coverage probes — and
-    therefore the batch-shared encoder — never see state 2.  A family that
-    plants a 2 in the initial configuration exercises exactly the shared
-    table's coverage miss.
+    therefore an encoder seeded by them — never see state 2.  A family that
+    plants a 2 in the initial configuration exercises exactly that miss.
     """
 
     name = "planted-copy"
@@ -50,7 +47,7 @@ def _planted_family(protocol, n, rng):
 def planted_spec():
     spec = register(ProtocolSpec(
         name="planted-copy-test",
-        summary="coverage-miss fixture (shared-encoder fallback test)",
+        summary="coverage-miss fixture (planted-state test)",
         factory=lambda n, config: _PlantedProtocol(),
         families={"planted": _planted_family},
         default_family="planted",
@@ -67,38 +64,17 @@ def test_probe_seeds_miss_the_planted_state(planted_spec):
     protocol = _PlantedProtocol()
     seeds = coverage_seeds(protocol)
     assert set(seeds) == {0, 1}  # canonical states + random_state probes
-    config = ExperimentConfig(trials=2, max_steps=10_000, check_interval=16)
-    shared = shared_encoder("planted-copy-test", 6, config)
-    assert shared is not None and shared.num_states == 2
+    encoder = StateEncoder.build(protocol, seeds)
+    assert encoder.num_states == 2
     initial = planted_spec.build_configuration(
         "planted", protocol, 6, RandomSource(7))
-    assert not shared.covers(initial.states())
-    assert shared.covers([0, 1, 0])  # probe-drawn states are covered
+    assert not encoder.covers(initial.states())
+    assert encoder.covers([0, 1, 0])  # probe-drawn states are covered
 
 
-@pytest.mark.skipif(not numpy_available(),
-                    reason="the shared encoder serves the numpy tier only")
-def test_uncovered_trial_rebuilds_its_own_encoder(planted_spec):
-    config = ExperimentConfig(trials=2, max_steps=10_000, check_interval=16)
-    spec = get_spec("planted-copy-test")
-    protocol = spec.build_protocol(6, config)
-    population = spec.build_population(6, config)
-    initial = spec.build_configuration("planted", protocol, 6, RandomSource(7))
-    shared = shared_encoder("planted-copy-test", 6, config)
-    simulation = spec.build_simulation(
-        protocol, population, initial, RandomSource(11),
-        engine="numpy", encoder=shared)
-    assert isinstance(simulation, NumpySimulation)
-    # The per-trial fallback kicked in: a fresh table, compiled from this
-    # trial's configuration, covering the planted state the probes missed.
-    assert simulation.encoder is not shared
-    assert simulation.encoder.covers(initial.states())
-    assert simulation.encoder.num_states == 3
-
-
-def test_fallback_results_match_the_step_engine_bit_for_bit(planted_spec):
+def test_planted_state_results_match_the_step_engine_bit_for_bit(planted_spec):
     config = ExperimentConfig(trials=4, max_steps=10_000, check_interval=4)
-    table_driven = run_spec("planted-copy-test", 6, config, engine="auto")
+    table_driven = run_spec("planted-copy-test", 6, config)
     stepped = run_spec("planted-copy-test", 6, config, engine="step")
     assert table_driven.steps == stepped.steps
     assert table_driven.failures == stepped.failures == 0

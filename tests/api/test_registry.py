@@ -17,6 +17,8 @@ from repro.api import (
     spec_names,
     unregister,
 )
+from repro.core.configuration import random_configuration
+from repro.core.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT, Protocol
 
 TINY = ExperimentConfig(sizes=(8,), trials=1, max_steps=600_000,
                         check_interval=32, kappa_factor=4, seed=99)
@@ -135,11 +137,76 @@ def test_ensure_angluin_spec_registers_variants_on_demand():
 
 
 # ---------------------------------------------------------------------- #
-# Shim equivalence: the legacy harness adapters are bit-identical
+# Re-registration
 # ---------------------------------------------------------------------- #
-def test_harness_shims_are_bit_identical_to_run_spec():
-    from repro.experiments.harness import run_fischer_jiang, run_ppl, run_yokota
+class _CopyRuleProtocol(Protocol):
+    """Two states; either the responder copies the initiator or the
+    initiator copies the responder."""
 
-    assert run_ppl(8, TINY).steps == run_spec("ppl", 8, TINY).steps
-    assert run_yokota(8, TINY).steps == run_spec("yokota2021", 8, TINY).steps
-    assert run_fischer_jiang(8, TINY).steps == run_spec("fischer-jiang", 8, TINY).steps
+    name = "copy-rule"
+
+    def __init__(self, responder_copies: bool) -> None:
+        self.responder_copies = responder_copies
+
+    def transition(self, initiator, responder):
+        if self.responder_copies:
+            return initiator, initiator
+        return responder, responder
+
+    def output(self, state):
+        return LEADER_OUTPUT if state else FOLLOWER_OUTPUT
+
+    def random_state(self, rng):
+        return rng.randint(0, 1)
+
+    def state_space_size(self):
+        return 2
+
+    def canonical_states(self):
+        return (0, 1)
+
+
+def _copy_rule_spec(responder_copies: bool) -> ProtocolSpec:
+    return ProtocolSpec(
+        name="copy-rule-test",
+        summary="re-registration fixture",
+        factory=lambda n, config: _CopyRuleProtocol(responder_copies),
+        families={"adversarial": lambda protocol, n, rng:
+                  random_configuration(protocol, n, rng)},
+        stop_predicate=lambda protocol: (lambda states: len(set(states)) == 1),
+    )
+
+
+def test_a_re_registered_spec_runs_its_new_protocol():
+    """Nothing compiled for a spec may outlive its registration: after
+    ``register(..., replace=True)`` the default engine must run the new
+    transition rule, exactly as the step engine does."""
+    config = ExperimentConfig(trials=4, max_steps=100_000, check_interval=1,
+                              seed=5)
+    register(_copy_rule_spec(responder_copies=True))
+    try:
+        first = run_spec("copy-rule-test", 9, config)
+        register(_copy_rule_spec(responder_copies=False), replace=True)
+        default = run_spec("copy-rule-test", 9, config)
+        stepped = run_spec("copy-rule-test", 9, config, engine="step")
+    finally:
+        unregister("copy-rule-test")
+    assert default.steps == stepped.steps
+    assert default.steps != first.steps  # the two rules really differ here
+
+
+def test_a_re_registered_spec_runs_its_new_protocol_in_worker_processes():
+    """The same through a worker pool: the workers run the spec as it is
+    registered when the batch starts, not as it was at an earlier batch."""
+    config = ExperimentConfig(trials=4, max_steps=100_000, check_interval=1,
+                              seed=5)
+    register(_copy_rule_spec(responder_copies=True))
+    try:
+        first = run_spec("copy-rule-test", 9, config, workers=2)
+        register(_copy_rule_spec(responder_copies=False), replace=True)
+        default = run_spec("copy-rule-test", 9, config, workers=2)
+        stepped = run_spec("copy-rule-test", 9, config, engine="step")
+    finally:
+        unregister("copy-rule-test")
+    assert default.steps == stepped.steps
+    assert default.steps != first.steps

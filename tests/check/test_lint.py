@@ -52,7 +52,7 @@ def test_rep003_flags_module_scope_numpy_only_in_scoped_packages():
     assert lint_source(lazy, module="repro.core.fast_simulator") == []
     # Outside repro.core / repro.topology the rule does not apply at all.
     eager = "import numpy\n"
-    assert lint_source(eager, module="repro.experiments.harness") == []
+    assert lint_source(eager, module="repro.experiments.scaling") == []
     assert len(lint_source(eager, module="repro.topology.torus")) == 1
 
 

@@ -250,3 +250,16 @@ def test_verify_all_covers_every_simulated_spec():
     assert all(report["status"] in (VERIFIED, SKIPPED)
                for report in reports)
     assert summarize(reports)["ok"]
+
+
+def test_coverage_seeds_span_canonical_and_probe_states():
+    """The checker seeds its encoder with the canonical states plus
+    ``random_state`` probes, so adversarial starts lie inside the table."""
+    from repro.core.encoding import StateEncoder, coverage_seeds
+    from repro.protocols.baselines.angluin_modk import AngluinModKProtocol
+
+    protocol = AngluinModKProtocol(2)
+    seeds = coverage_seeds(protocol)
+    assert len(seeds) > len(list(protocol.canonical_states()))
+    encoder = StateEncoder.build(protocol, seeds)
+    assert encoder.num_states <= protocol.state_space_size()

@@ -1,12 +1,13 @@
 """Cross-check suite: the batched engine must be bit-identical to the step engine.
 
 The contract that makes the batched engine safe to select automatically:
-driven by the same arc stream, :class:`BatchedSimulation` produces the same
-final configuration, step count, effective-step count, per-agent interaction
-counts, and leader count as :class:`Simulation` — for every registered
-protocol spec.  The engine fills its transition table lazily, so specs whose
-state space cannot be enumerated (``ppl``, ``yokota2021`` from n=17) run on
-it too, and a table forced past its memory cap stays bit-identical.
+driven by the same arc stream (or the same seed), :class:`BatchedSimulation`
+produces the same final configuration, step count, effective-step count,
+per-agent interaction counts, and leader count as :class:`Simulation` — for
+every registered simulated spec on every topology it supports.  The engine
+fills its transition table lazily, so specs whose state space cannot be
+enumerated (``ppl``, ``yokota2021`` from n=17) run on it too, and a table
+forced past its memory cap stays bit-identical.
 """
 
 from __future__ import annotations
@@ -16,41 +17,66 @@ import pytest
 from repro.api import ExperimentConfig, experiment, get_spec, list_specs, run_spec
 from repro.core import fast_simulator
 from repro.core.errors import InvalidParameterError, ScheduleExhaustedError
-from repro.core.fast_simulator import (
-    BatchedSimulation,
-    NumpySimulation,
-    numpy_available,
-)
+from repro.core.fast_simulator import ENGINES, BatchedSimulation
 from repro.core.rng import RandomSource
 from repro.core.scheduler import SequenceScheduler
 from repro.core.simulator import Simulation
 from repro.protocols.baselines.fischer_jiang import OracleSimulation
-
-SIMULATED_SPECS = [spec.name for spec in list_specs() if spec.is_simulated]
+from repro.topology.registry import topology_names, validate_topology
 
 #: Arc-stream length for the replay cross-checks: long enough to exercise
 #: leader creation, elimination wars, and the converged (no-op) regime.
 STREAM_LENGTH = 20_000
 
 
-def _trial_ingredients(name: str, seed: int = 31):
-    """Protocol, population, and initial configuration for one spec."""
+def _spec_topology_grid():
+    """Every (simulated spec, supported topology) pair in the registry."""
+    for spec in list_specs():
+        if not spec.is_simulated:
+            continue
+        names = (spec.supported_topologies
+                 if spec.supported_topologies is not None else topology_names())
+        for topology in names:
+            yield spec.name, topology
+
+
+SPEC_TOPOLOGY_GRID = sorted(_spec_topology_grid())
+
+
+def _grid_size(spec, topology: str) -> int:
+    """The smallest size from 8 that the spec and the topology both take."""
+
+    def fits(k: int) -> bool:
+        if not spec.supports(k):
+            return False
+        try:
+            validate_topology(topology, k)
+        except ValueError:
+            return False
+        return True
+
+    return next(k for k in range(8, 40) if fits(k))
+
+
+def _trial_ingredients(name: str, topology: str = "directed-ring", seed: int = 31):
+    """Protocol, population, and initial configuration for one grid point."""
     spec = get_spec(name)
-    config = ExperimentConfig()
-    n = next(k for k in range(8, 20) if spec.supports(k))
+    config = ExperimentConfig(topology=topology)
+    n = _grid_size(spec, topology)
     protocol = spec.build_protocol(n, config)
-    population = spec.build_population(n)
+    population = spec.build_population(n, config)
     initial = spec.build_configuration(
-        spec.default_family, protocol, n, RandomSource(seed)
+        spec.default_family, protocol, n, RandomSource(seed),
+        population=population,
     )
     return spec, protocol, population, initial
 
 
-@pytest.mark.parametrize("name", SIMULATED_SPECS)
-def test_batched_engine_is_bit_identical_on_the_same_arc_stream(name):
+@pytest.mark.parametrize("name,topology", SPEC_TOPOLOGY_GRID)
+def test_batched_engine_is_bit_identical_on_the_same_arc_stream(name, topology):
     # No enumeration: large-state protocols (ppl) replay through the lazy
     # table exactly like the small ones.
-    _, protocol, population, initial = _trial_ingredients(name)
+    _, protocol, population, initial = _trial_ingredients(name, topology)
     rng = RandomSource(17)
     arcs = [population.sample_arc(rng) for _ in range(STREAM_LENGTH)]
     step_sim = Simulation(protocol, population, initial,
@@ -67,17 +93,18 @@ def test_batched_engine_is_bit_identical_on_the_same_arc_stream(name):
     assert batched.leader_count() == step_sim.leader_count()
 
 
-@pytest.mark.parametrize("name", SIMULATED_SPECS)
-def test_batched_engine_matches_step_engine_from_the_same_seed(name):
+@pytest.mark.parametrize("name,topology", SPEC_TOPOLOGY_GRID)
+def test_batched_engine_matches_step_engine_from_the_same_seed(name, topology):
     """The internal block drawing consumes the same randrange stream as
     UniformRandomScheduler, so equal seeds give equal executions."""
-    _, protocol, population, initial = _trial_ingredients(name)
+    _, protocol, population, initial = _trial_ingredients(name, topology)
     step_sim = Simulation(protocol, population, initial, rng=123)
     batched = BatchedSimulation(protocol, population, initial, rng=123)
     step_sim.run(7_500)
     batched.run(7_500)
     assert batched.states() == step_sim.states()
     assert batched.metrics == step_sim.metrics
+    assert batched.leader_count() == step_sim.leader_count()
 
 
 @pytest.mark.parametrize("name", ["ppl", "yokota2021"])
@@ -164,6 +191,80 @@ def test_run_until_semantics_match_the_step_engine():
     assert batched_run.configuration.states() == step_run.configuration.states()
 
 
+# ---------------------------------------------------------------------- #
+# Check-interval backoff
+# ---------------------------------------------------------------------- #
+def _backoff_ingredients():
+    spec, protocol, population, initial = _trial_ingredients("angluin-modk")
+    predicate = spec.build_stop_predicate(protocol, population)
+    return protocol, population, initial, predicate
+
+
+def test_backoff_off_is_the_fixed_interval_engine():
+    protocol, population, initial, predicate = _backoff_ingredients()
+    plain = BatchedSimulation(protocol, population, initial, rng=5).run_until(
+        predicate, max_steps=400_000, check_interval=64
+    )
+    explicit_off = BatchedSimulation(protocol, population, initial, rng=5).run_until(
+        predicate, max_steps=400_000, check_interval=64, check_backoff=False
+    )
+    assert (plain.satisfied, plain.steps) == (explicit_off.satisfied,
+                                              explicit_off.steps)
+
+
+def test_backoff_schedule_is_identical_across_all_engines():
+    protocol, population, initial, predicate = _backoff_ingredients()
+    outcomes = []
+    for engine in (Simulation, BatchedSimulation):
+        run = engine(protocol, population, initial, rng=5).run_until(
+            predicate, max_steps=400_000, check_interval=16, check_backoff=True
+        )
+        outcomes.append((run.satisfied, run.steps))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("name", ["ppl", "yokota2021"])
+def test_backoff_schedule_survives_table_rebuilds(name, monkeypatch):
+    """The doubling check schedule on the paper protocols, with the table
+    rebuilt mid-run, stops where the step loop stops."""
+    monkeypatch.setattr(fast_simulator, "MAX_CODED_STATES", 4)
+    rebuilds = []
+    rebuild = BatchedSimulation._rebuild
+
+    def counted(self):
+        rebuilds.append(self)
+        rebuild(self)
+
+    monkeypatch.setattr(BatchedSimulation, "_rebuild", counted)
+    spec, protocol, population, initial = _trial_ingredients(name)
+    predicate = spec.build_stop_predicate(protocol, population)
+    runs = [
+        engine(protocol, population, initial, rng=5).run_until(
+            predicate, max_steps=400_000, check_interval=1, check_backoff=True)
+        for engine in (Simulation, BatchedSimulation)
+    ]
+    assert rebuilds
+    assert runs[0].satisfied
+    assert (runs[1].satisfied, runs[1].steps) == (runs[0].satisfied, runs[0].steps)
+    assert runs[1].configuration.states() == runs[0].configuration.states()
+
+
+@pytest.mark.parametrize("engine", [Simulation, BatchedSimulation])
+def test_backoff_caps_and_validates(engine):
+    protocol, population, initial, predicate = _backoff_ingredients()
+    run = engine(protocol, population, initial, rng=5).run_until(
+        predicate, max_steps=5_000, check_interval=16, check_backoff=True,
+        check_interval_cap=64,
+    )
+    # Interval path 16, 32, 64, 64, ...: executed steps follow that schedule.
+    assert run.steps <= 5_000
+    with pytest.raises(ValueError):
+        engine(protocol, population, initial, rng=5).run_until(
+            predicate, max_steps=100, check_interval=64, check_backoff=True,
+            check_interval_cap=8,
+        )
+
+
 def test_batched_step_reports_state_changes_and_counts():
     _, protocol, population, initial = _trial_ingredients("yokota2021")
     batched = BatchedSimulation(protocol, population, initial, rng=2)
@@ -225,12 +326,9 @@ def test_batched_engine_rejects_observers():
 # Engine selection through the spec / executor / builder layers
 # ---------------------------------------------------------------------- #
 def test_auto_engine_selection_per_spec():
-    # 96 declared states: angluin-modk encodes, so auto picks the fastest
-    # applicable table tier (numpy when installed, batched otherwise).
-    table_tier = NumpySimulation if numpy_available() else BatchedSimulation
     cases = {
-        "angluin-modk": table_tier,
-        "ppl": BatchedSimulation,           # too many states: lazy table
+        "angluin-modk": BatchedSimulation,
+        "ppl": BatchedSimulation,           # no enumeration needed
         "fischer-jiang": OracleSimulation,  # custom factory: step engine
     }
     for name, expected_type in cases.items():
@@ -239,6 +337,26 @@ def test_auto_engine_selection_per_spec():
             protocol, population, initial, RandomSource(1), engine="auto"
         )
         assert type(simulation) is expected_type, name
+
+
+@pytest.mark.parametrize("name,topology", SPEC_TOPOLOGY_GRID)
+def test_auto_runs_the_table_unless_the_spec_needs_the_step_loop(name, topology):
+    """End to end through the builder: ``auto`` resolves per spec, never per
+    size or topology — the step loop for the oracle-backed spec, the batched
+    engine's table for every other — and its trials, budget misses included,
+    equal the step engine's."""
+    spec = get_spec(name)
+    expected = "step" if spec.requires_step_engine else "batched"
+    n = _grid_size(spec, topology)
+
+    def trials(engine):
+        return (experiment(name).on_topology(topology, n).trials(2)
+                .max_steps(20_000).check_interval(1).engine(engine).run().trials)
+
+    auto, step = trials("auto"), trials("step")
+    assert {trial.engine for trial in auto} == {expected}
+    assert [(trial.steps, trial.converged) for trial in auto] == \
+        [(trial.steps, trial.converged) for trial in step]
 
 
 def test_forced_batched_engine_errors_are_loud():
@@ -253,6 +371,12 @@ def test_forced_batched_engine_errors_are_loud():
         fj_spec.resolve_engine("batched")
     with pytest.raises(ValueError):
         spec.resolve_engine("warp")
+
+
+def test_the_engines_are_step_and_batched():
+    assert ENGINES == ("auto", "step", "batched")
+    with pytest.raises(ValueError, match="'auto', 'step', 'batched'"):
+        get_spec("angluin-modk").resolve_engine("numpy")
 
 
 def test_forced_step_engine_always_applies():
@@ -270,17 +394,12 @@ def test_run_spec_results_are_identical_across_engines():
     auto = run_spec("angluin-modk", 9, config, engine="auto")
     assert step.steps == batched.steps == auto.steps
     assert step.failures == batched.failures == auto.failures
-    if numpy_available():
-        vectorized = run_spec("angluin-modk", 9, config, engine="numpy")
-        assert vectorized.steps == step.steps
-        assert vectorized.failures == step.failures
 
 
 def test_builder_reports_the_engine_that_ran():
-    table_tier = "numpy" if numpy_available() else "batched"
     auto = (experiment("angluin-modk").on_ring(9).trials(2)
             .max_steps(400_000).engine("auto").run())
-    assert {trial.engine for trial in auto.trials} == {table_tier}
+    assert {trial.engine for trial in auto.trials} == {"batched"}
     forced = (experiment("angluin-modk").on_ring(9).trials(2)
               .max_steps(400_000).engine("batched").run())
     assert {trial.engine for trial in forced.trials} == {"batched"}
@@ -291,3 +410,64 @@ def test_builder_reports_the_engine_that_ran():
         experiment("fischer-jiang").engine("batched")
     with pytest.raises(ValueError):
         experiment("fischer-jiang").engine("numpy")
+
+
+def test_run_spec_trials_equal_hand_built_trials():
+    """The executor's trial is the documented recipe: per-trial seeds from
+    ``trial_tasks``, ``build_simulation`` on the default engine, and
+    ``run_until`` with the config's budget and check interval."""
+    from repro.api.executor import trial_tasks
+
+    config = ExperimentConfig(trials=3, max_steps=400_000, check_interval=64)
+    spec = get_spec("yokota2021")
+    hand_built = []
+    for task in trial_tasks("yokota2021", 8, config, "random", rng_label="yokota"):
+        protocol = spec.build_protocol(8, config)
+        population = spec.build_population(8, config)
+        initial = spec.build_configuration(
+            "random", protocol, 8, RandomSource(task.configuration_seed))
+        simulation = spec.build_simulation(
+            protocol, population, initial, RandomSource(task.scheduler_seed))
+        predicate = spec.build_stop_predicate(protocol, population)
+        run = simulation.run_until(predicate, max_steps=config.max_steps,
+                                   check_interval=config.check_interval)
+        hand_built.append(run.steps)
+    assert run_spec("yokota2021", 8, config).steps == hand_built
+
+
+def test_specs_without_canonical_states_run_on_the_default_engine():
+    """The lazy table codes states on first sight, so a protocol on the
+    base-class ``canonical_states`` (which yields nothing) runs like any."""
+    from repro.api import ProtocolSpec, register, unregister
+    from repro.core.configuration import random_configuration
+    from repro.core.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT, Protocol
+
+    class MinimalProtocol(Protocol):
+        name = "minimal-two-state"
+
+        def transition(self, initiator, responder):
+            return initiator, initiator
+
+        def output(self, state):
+            return LEADER_OUTPUT if state else FOLLOWER_OUTPUT
+
+        def random_state(self, rng):
+            return rng.randint(0, 1)
+
+    register(ProtocolSpec(
+        name="minimal-two-state",
+        summary="regression: base-class canonical_states",
+        factory=lambda n, config: MinimalProtocol(),
+        families={"adversarial": lambda protocol, n, rng:
+                  random_configuration(protocol, n, rng)},
+        stop_predicate=lambda protocol:
+            (lambda states: len(set(states)) == 1),
+    ))
+    try:
+        config = ExperimentConfig(trials=2, max_steps=50_000, check_interval=8)
+        result = run_spec("minimal-two-state", 8, config)
+        assert result.failures == 0
+        assert result.steps == run_spec("minimal-two-state", 8, config,
+                                        engine="step").steps
+    finally:
+        unregister("minimal-two-state")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.configuration import Configuration, random_configuration
 from repro.core.errors import ConvergenceError, InvalidConfigurationError, InvalidParameterError
-from repro.core.fast_simulator import BatchedSimulation, NumpySimulation, numpy_available
+from repro.core.fast_simulator import BatchedSimulation
 from repro.core.rng import RandomSource
 from repro.core.scheduler import SequenceScheduler, seq_r
 from repro.core.simulator import Simulation
@@ -123,12 +123,7 @@ def test_state_of_returns_states_and_rejects_out_of_range_agents():
         simulation.state_of(-1)
 
 
-@pytest.mark.parametrize("engine", [
-    Simulation,
-    BatchedSimulation,
-    pytest.param(NumpySimulation, marks=pytest.mark.skipif(
-        not numpy_available(), reason="numpy engine not installed")),
-])
+@pytest.mark.parametrize("engine", [Simulation, BatchedSimulation])
 def test_run_rejects_a_negative_step_count_on_every_engine(engine):
     protocol = AngluinModKProtocol(2)
     ring = DirectedRing(9)

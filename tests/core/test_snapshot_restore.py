@@ -1,4 +1,4 @@
-"""The snapshot()/restore() state-capture contract, across all three engines.
+"""The snapshot()/restore() state-capture contract, across both engines.
 
 The phased scenario runtime treats ``run_until`` as a resumable *segment*
 primitive: capture a simulation mid-run, restore it later (possibly after
@@ -15,17 +15,18 @@ import copy
 import pytest
 
 from repro.api import ExperimentConfig, get_spec
-from repro.core.fast_simulator import numpy_available
 from repro.core.rng import RandomSource
 from repro.topology.registry import build_topology
 
 TOPOLOGIES = [
     ("directed-ring", {}),
+    ("undirected-ring", {}),
     ("complete", {}),
     ("torus", {"width": 3, "height": 3}),
+    ("random-regular", {"degree": 4}),
 ]
 
-ENGINES = ["step", "batched"] + (["numpy"] if numpy_available() else [])
+ENGINES = ["step", "batched"]
 
 N = 9
 PREFIX_STEPS = 137

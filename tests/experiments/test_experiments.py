@@ -1,4 +1,4 @@
-"""Tests for the experiment harnesses (Table 1, figures, sweeps, reports)."""
+"""Tests for the experiments (Table 1, figures, sweeps, reports)."""
 
 from __future__ import annotations
 
@@ -14,11 +14,8 @@ from repro.experiments import (
     regenerate_figure1,
     regenerate_figure2,
     render_table1,
-    run_angluin,
-    run_ppl,
-    run_yokota,
-    sweep,
 )
+from repro.api import run_spec, runner_for
 from repro.experiments.reporting import ascii_bar_chart, format_series, format_table
 
 #: A deliberately tiny configuration so the whole experiment stack runs in seconds.
@@ -49,28 +46,21 @@ def test_format_series_and_bar_chart():
 # Runners and sweeps
 # ---------------------------------------------------------------------- #
 def test_run_ppl_and_yokota_runners_converge():
-    ppl = run_ppl(8, TINY)
-    yokota = run_yokota(8, TINY)
+    ppl = run_spec("ppl", 8, TINY, family="adversarial")
+    yokota = run_spec("yokota2021", 8, TINY)
     assert ppl.all_converged and yokota.all_converged
     assert ppl.population_size == yokota.population_size == 8
 
 
 def test_run_angluin_rejects_divisible_sizes():
     with pytest.raises(ValueError):
-        run_angluin(8, TINY, k=2)
-    result = run_angluin(9, TINY, k=2)
+        run_spec("angluin-modk", 8, TINY)
+    result = run_spec("angluin-modk", 9, TINY)
     assert result.all_converged
 
 
-def test_sweep_collects_all_sizes():
-    result = sweep(run_ppl, TINY, "P_PL")
-    assert result.sizes() == [6, 8]
-    assert len(result.mean_steps()) == 2
-    assert result.converged_everywhere()
-
-
 def test_measure_scaling_produces_fits():
-    series = measure_scaling(run_ppl, "P_PL", TINY)
+    series = measure_scaling(runner_for("ppl", family="adversarial"), "P_PL", TINY)
     assert series.sizes == [6, 8]
     assert len(series.fits) >= 4
     assert series.best_fit().relative_error >= 0
@@ -79,8 +69,8 @@ def test_measure_scaling_produces_fits():
 def test_scaling_series_shares_one_pool_and_matches_the_legacy_path():
     from repro.experiments.scaling import scaling_series
 
-    legacy = [measure_scaling(run_ppl, "P_PL", TINY),
-              measure_scaling(run_yokota, "Yokota2021", TINY)]
+    legacy = [measure_scaling(runner_for("ppl", family="adversarial"), "P_PL", TINY),
+              measure_scaling(runner_for("yokota2021"), "Yokota2021", TINY)]
     for pooled in (scaling_series(TINY),              # serial
                    scaling_series(TINY, workers=2)):  # one shared pool
         assert [series.protocol for series in pooled] == ["P_PL", "Yokota2021"]

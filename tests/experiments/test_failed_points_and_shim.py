@@ -1,14 +1,13 @@
-"""Regressions: all-failed sweep points and the deprecated harness shim.
+"""Regressions: all-failed sweep points and import hygiene.
 
 Covers the PR-5 bug cluster: ``inf`` means leaking into growth-law fits,
 ``ConvergenceResult.summary()`` raising out of report paths, non-finite
-values crashing the ASCII chart, and the harness shim's deprecation
-contract (warn when used, stay silent for ``import repro.experiments``).
+values crashing the ASCII chart — and that ``import repro.experiments``
+and the scaling entry points stay free of deprecation warnings.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 import subprocess
 import sys
@@ -93,24 +92,12 @@ def test_sample_summary_empty_and_of_stay_distinct():
 
 
 # ---------------------------------------------------------------------- #
-# The deprecated harness shim
+# Import hygiene
 # ---------------------------------------------------------------------- #
-def test_harness_shim_warns_on_import():
-    sys.modules.pop("repro.experiments.harness", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        importlib.import_module("repro.experiments.harness")
-    messages = [str(entry.message) for entry in caught
-                if issubclass(entry.category, DeprecationWarning)]
-    assert any("repro.experiments.harness is deprecated" in message
-               for message in messages), messages
-
-
 def test_importing_experiments_package_does_not_warn():
-    """Only touching a legacy name deserves the warning — a subprocess
-    proves a fresh ``import repro.experiments`` (and the figures module,
-    which used to import ExperimentConfig through the shim) stays silent
-    even with DeprecationWarning escalated to an error."""
+    """A subprocess proves a fresh ``import repro.experiments`` (and the
+    figures module) stays silent even with DeprecationWarning escalated to
+    an error."""
     import os
     from pathlib import Path
 
@@ -129,8 +116,7 @@ def test_importing_experiments_package_does_not_warn():
 
 def test_non_deprecated_scaling_entry_points_do_not_warn():
     """measure_scaling/scaling_summary are current API: using them must not
-    trip the harness shim's DeprecationWarning."""
-    sys.modules.pop("repro.experiments.harness", None)
+    trip a DeprecationWarning."""
     config = ExperimentConfig(sizes=(6, 8), trials=1, max_steps=600_000)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -138,10 +124,3 @@ def test_non_deprecated_scaling_entry_points_do_not_warn():
                              fromlist=["scaling_summary"]).scaling_summary(config)
     assert set(summary) == {"P_PL", "Yokota2021"}
     assert all(law is None or isinstance(law, str) for law in summary.values())
-
-
-def test_legacy_names_still_resolve_through_the_package():
-    from repro.experiments import run_ppl, sweep, SweepResult  # noqa: F401
-
-    config = ExperimentConfig(sizes=(6,), trials=1, max_steps=600_000)
-    assert run_ppl(6, config).all_converged

@@ -92,6 +92,13 @@ def test_submit_rejects_invalid_payloads(coord):
         coord.submit("not a dict")
 
 
+def test_submit_rejects_an_engine_that_does_not_exist(coord):
+    with pytest.raises(ValidationError, match="'auto', 'step', 'batched'"):
+        coord.submit(dict(PAYLOAD, engine="numpy"))
+    assert coord.sweeps() == []
+    assert coord.submit(dict(PAYLOAD, engine="batched"))["points"] == 3
+
+
 def test_full_sweep_lifecycle(coord):
     sweep_id = submit(coord)
     worker = coord.register()

@@ -12,12 +12,11 @@ import pytest
 
 from repro.analysis.convergence import summarize_phases
 from repro.api import ExperimentConfig, experiment, get_spec
-from repro.core.fast_simulator import numpy_available
 from repro.scenario.runtime import validate_scenario
 from repro.scenario.spec import DEGENERATE_PHASE, ScenarioError, parse_scenario
 from repro.store.store import batch_digest, canonical_config
 
-ENGINES = ["step", "batched"] + (["numpy"] if numpy_available() else [])
+ENGINES = ["step", "batched"]
 
 MULTI_PHASE = (
     DEGENERATE_PHASE,                                   # converge
@@ -27,12 +26,21 @@ MULTI_PHASE = (
 
 
 def _run(engine: str, workers: int = 1, scenario=MULTI_PHASE, n: int = 9,
-         trials: int = 3, seed: int = 23):
-    builder = (experiment("angluin-modk").on_ring(n).from_adversarial()
-               .scenario(scenario).trials(trials).seed(seed).engine(engine))
+         trials: int = 3, seed: int = 23, topology: str = "directed-ring"):
+    builder = (experiment("angluin-modk").on_topology(topology, n)
+               .from_adversarial().scenario(scenario).trials(trials).seed(seed)
+               .engine(engine))
     if workers > 1:
         builder.parallel(workers)
     return builder.run()
+
+
+def _phase_rows(result):
+    return [
+        [(phase.phase, phase.perturbation, phase.steps, phase.converged,
+          phase.population_size) for phase in trial.phases]
+        for trial in result.trials
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -40,18 +48,32 @@ def _run(engine: str, workers: int = 1, scenario=MULTI_PHASE, n: int = 9,
 # ---------------------------------------------------------------------- #
 def test_multi_phase_scenario_is_bit_identical_across_engines():
     results = [_run(engine) for engine in ENGINES]
-    reference = [
-        [(phase.phase, phase.perturbation, phase.steps, phase.converged,
-          phase.population_size) for phase in trial.phases]
-        for trial in results[0].trials
-    ]
+    reference = _phase_rows(results[0])
     for result in results[1:]:
-        assert [
-            [(phase.phase, phase.perturbation, phase.steps, phase.converged,
-              phase.population_size) for phase in trial.phases]
-            for trial in result.trials
-        ] == reference
+        assert _phase_rows(result) == reference
     assert all(trial.converged for result in results for trial in result.trials)
+
+
+def test_multi_phase_scenario_is_bit_identical_on_the_undirected_ring():
+    """Churn re-wires the population between phases, here with arcs both
+    ways round the ring; both engines still run every phase identically."""
+    results = [_run(engine, topology="undirected-ring", trials=2)
+               for engine in ENGINES]
+    assert _phase_rows(results[1]) == _phase_rows(results[0])
+    assert all(len(trial.phases) == len(MULTI_PHASE) and trial.converged
+               for result in results for trial in result.trials)
+
+
+@pytest.mark.parametrize("engine,expected", [
+    ("auto", "batched"), ("step", "step"), ("batched", "batched"),
+])
+def test_every_phase_reports_the_engine_that_ran(engine, expected):
+    """With one table engine no phase can switch tiers, churn included: the
+    trial and each of its phases report the one engine that ran."""
+    for trial in _run(engine, trials=2).trials:
+        assert trial.engine == expected
+        assert [phase.engine for phase in trial.phases] == \
+            [expected] * len(MULTI_PHASE)
 
 
 def test_scenario_serial_equals_parallel():

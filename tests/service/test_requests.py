@@ -84,6 +84,9 @@ def test_malformed_payloads_are_rejected(payload, fragment):
     ({"protocol": "chen-chen"}, "analytic"),
     ({"protocol": "ppl", "family": "no-such-family"}, "no-such-family"),
     ({"protocol": "ppl", "engine": "warp-drive"}, "warp-drive"),
+    # An engine that does not exist: the message names the three that do.
+    ({"protocol": "angluin-modk", "sizes": [9], "engine": "numpy"},
+     "('auto', 'step', 'batched'), got 'numpy'"),
     ({"protocol": "ppl", "topology": "no-such-topo"}, "no-such-topo"),
     ({"protocol": "ppl", "topology": "complete"}, "complete"),
     ({"protocol": "angluin-modk", "sizes": [25],

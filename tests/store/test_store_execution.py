@@ -10,24 +10,26 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.api import BatchRequest, ExperimentConfig, run_batches, run_spec, experiment
-from repro.core.fast_simulator import numpy_available
+from repro.cli import main
 from repro.store import ResultsStore, batch_digest
 
-#: Engines the encodable angluin-modk protocol runs on in this environment.
-ENGINES = ["step", "batched"] + (["numpy"] if numpy_available() else [])
+#: The engines angluin-modk runs on.
+ENGINES = ["step", "batched"]
 
 #: (engine, topology, params, n) round-trip points: the full engine matrix
-#: on the two fast topologies, plus one slower off-ring topology (torus) on
+#: on the three fast topologies, plus one slower off-ring topology (torus) on
 #: the batched tier only — angluin converges slowly there and the
-#: cross-engine identity suites already cover torus step==batched==numpy.
+#: cross-engine identity suite already covers torus step==batched.
 ROUND_TRIP_POINTS = [
     (engine, topology, (), 5)
     for engine in ENGINES
-    for topology in ("directed-ring", "complete")
+    for topology in ("directed-ring", "undirected-ring", "complete")
 ] + [("batched", "torus", (("height", 3), ("width", 3)), 9)]
 
 
@@ -245,56 +247,30 @@ def test_builder_no_store_write(tmp_path):
         experiment("angluin-modk").no_store_write()
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs the numpy tier")
-def test_numpy_written_record_serves_a_numpy_less_process(tmp_path):
-    """Records are engine-agnostic both ways: a batch computed by the numpy
-    tier must serve a process where numpy does not even import."""
-    import subprocess
-    import sys
-    from pathlib import Path
+#: A record the retired numpy tier wrote: ``repro-ssle run angluin-modk
+#: --sizes 9 --trials 2 --store DIR`` before that tier was deleted.
+NUMPY_TIER_STORE = Path(__file__).parent / "fixtures" / "numpy-tier-store"
 
-    config = _config("numpy", "directed-ring", trials=2)
-    store = ResultsStore(tmp_path)
-    cold = run_spec("angluin-modk", 9, config, store=store)
-    assert {trial.engine for trial in  # the record really is numpy-written
-            store.load(batch_digest("angluin-modk", 9, "adversarial",
-                                    "angluin", config))} == {"numpy"}
 
-    script = r"""
-import sys
+def test_a_numpy_tier_record_still_serves_every_trial(tmp_path, capsys, monkeypatch):
+    """The engine is not part of the digest, so a record written by an
+    engine that no longer exists serves the same command warm."""
+    monkeypatch.delenv("REPRO_STORE", raising=False)  # the fresh run is storeless
+    root = tmp_path / "store"
+    shutil.copytree(NUMPY_TIER_STORE, root)
+    (record,) = root.rglob("*.json")
+    assert {trial["engine"] for trial in json.loads(record.read_text())["trials"]} \
+        == {"numpy"}
+    argv = ["run", "angluin-modk", "--sizes", "9", "--trials", "2", "--format", "json"]
 
-class _BlockNumpy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "numpy":
-            raise ModuleNotFoundError("numpy blocked")
-        return None
-
-sys.meta_path.insert(0, _BlockNumpy())
-for cached in [name for name in sys.modules if name.startswith("numpy")]:
-    del sys.modules[cached]
-
-from repro.api import ExperimentConfig, run_spec
-from repro.core.fast_simulator import numpy_available
-from repro.store import ResultsStore
-
-assert not numpy_available()
-config = ExperimentConfig(trials=2, max_steps=2_000_000, seed=99,
-                          engine="auto", topology="directed-ring")
-store = ResultsStore(sys.argv[1])
-result = run_spec("angluin-modk", 9, config, store=store)
-assert store.executed == 0 and store.served == 2, store.stats()
-print("SERVED_STEPS=" + ",".join(str(count) for count in result.steps))
-"""
-    source_root = Path(__file__).resolve().parents[2] / "src"
-    completed = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": str(source_root), "PATH": "/usr/bin:/bin"},
-    )
-    assert completed.returncode == 0, completed.stderr
-    marker = next(line for line in completed.stdout.splitlines()
-                  if line.startswith("SERVED_STEPS="))
-    assert [int(part) for part in marker.split("=")[1].split(",")] == cold.steps
+    assert main(argv + ["--store", str(root)]) == 0
+    warm = json.loads(capsys.readouterr().out)
+    assert warm["store"]["executed"] == 0 and warm["store"]["served"] == 2
+    assert main(argv) == 0
+    fresh = json.loads(capsys.readouterr().out)
+    steps = [[trial["steps"] for trial in result["trials"]]
+             for result in (warm["results"][0], fresh["results"][0])]
+    assert steps[0] == steps[1] == [512, 512]
 
 
 def test_stored_record_contents_are_inspectable(tmp_path):
@@ -312,5 +288,5 @@ def test_stored_record_contents_are_inspectable(tmp_path):
     assert record["config"]["topology"] == "complete"
     assert "engine" not in record["config"]  # engine is not identity
     assert record["versions"]["schema"] == record["schema"]
-    assert all(trial["engine"] in ("step", "batched", "numpy")
+    assert all(trial["engine"] in ("step", "batched")
                for trial in record["trials"])

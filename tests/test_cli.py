@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from repro.api import spec_names
 from repro.cli import build_parser, main
-from repro.core.fast_simulator import numpy_available
+from repro.core.configuration import Configuration
 
 
 # ---------------------------------------------------------------------- #
@@ -156,20 +157,80 @@ def test_run_rejects_engine_flag_for_analytic_specs(capsys):
     assert "analytic" in capsys.readouterr().err
 
 
-def test_forced_numpy_engine_on_unencodable_protocol_is_a_usage_error(capsys):
+def test_forced_batched_engine_runs_ppl_and_numpy_is_not_an_engine(capsys):
     """--engine batched on P_PL runs: the lazy table needs no enumeration.
-    Only a forced --engine numpy, whose table does, is still a usage error —
-    a clean one, not a StateSpaceError traceback mid-run."""
+    --engine numpy names an engine that no longer exists: a usage error
+    that lists the three engines."""
     assert main(["run", "ppl", "--sizes", "8", "--trials", "1", "--engine", "batched",
                  "--format", "json"]) == 0
     trials = json.loads(capsys.readouterr().out)["results"][0]["trials"]
     assert {trial["engine"] for trial in trials} == {"batched"}
-    if not numpy_available():
-        return
-    with pytest.raises(SystemExit):
-        main(["run", "ppl", "--sizes", "8", "--trials", "1", "--engine", "numpy"])
-    err = capsys.readouterr().err
-    assert "enumeration cap" in err and "--engine batched" in err
+    for command in (["run", "ppl", "--sizes", "8"], ["check", "yokota2021", "--quant"]):
+        with pytest.raises(SystemExit):
+            main(command + ["--engine", "numpy"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'numpy'" in err
+        assert "'auto', 'step', 'batched'" in err
+
+
+def test_every_engine_flag_offers_exactly_the_engines():
+    """Every subcommand that takes --engine draws its choices from ENGINES,
+    so none can offer an engine that does not exist."""
+    from repro.core.fast_simulator import ENGINES
+
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    offered = {}
+    for command, parser in subcommands.choices.items():
+        for action in parser._actions:
+            if "--engine" in action.option_strings:
+                offered[command] = tuple(action.choices)
+    assert {"run", "table1", "scaling", "check"} <= set(offered)
+    assert set(offered.values()) == {ENGINES}
+
+
+def test_states_the_table_cannot_code_are_a_usage_error(capsys):
+    """A state that is neither hashable nor a dataclass cannot be coded by
+    the lazy table: a clean usage error pointing at --engine step, not a
+    StateSpaceError traceback mid-run."""
+    from repro.api import ProtocolSpec, register, unregister
+    from repro.core.protocol import FOLLOWER_OUTPUT, Protocol
+
+    class Opaque:
+        __hash__ = None
+
+        def __eq__(self, other):
+            return isinstance(other, Opaque)
+
+    class OpaqueProtocol(Protocol):
+        name = "opaque"
+
+        def transition(self, initiator, responder):
+            return initiator, responder
+
+        def output(self, state):
+            return FOLLOWER_OUTPUT
+
+        def random_state(self, rng):
+            return Opaque()
+
+    register(ProtocolSpec(
+        name="opaque-test",
+        summary="states without a key",
+        factory=lambda n, config: OpaqueProtocol(),
+        families={"adversarial": lambda protocol, n, rng:
+                  Configuration([Opaque() for _ in range(n)])},
+        stop_predicate=lambda protocol: (lambda states: True),
+    ))
+    try:
+        with pytest.raises(SystemExit):
+            main(["run", "opaque-test", "--sizes", "4", "--trials", "1"])
+        err = capsys.readouterr().err
+        assert "neither hashable nor dataclasses" in err and "--engine step" in err
+        assert main(["run", "opaque-test", "--sizes", "4", "--trials", "1",
+                     "--engine", "step"]) == 0
+    finally:
+        unregister("opaque-test")
 
 
 def test_bespoke_simulation_commands_reject_engine_flag(capsys):
@@ -591,3 +652,28 @@ def test_serve_parser_defaults_and_bounds():
         build_parser().parse_args(["serve", "--max-jobs", "0"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve", "--workers", "-1"])
+
+
+def test_table1_and_a_quant_point_never_import_numpy():
+    """No engine uses numpy: the paper's Table 1 and an exact-time gate
+    point run in a fresh interpreter without it ever being imported."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = r"""
+import sys
+from repro.cli import main
+
+assert main(["table1", "--format", "json"]) == 0
+assert main(["check", "yokota2021", "--quant", "--n", "2", "--format", "json"]) == 0
+print("NUMPY_IMPORTED=" + str(any(name.split(".")[0] == "numpy" for name in sys.modules)))
+"""
+    source_root = Path(__file__).resolve().parent.parent / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(source_root), "PATH": "/usr/bin:/bin"},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1] == "NUMPY_IMPORTED=False"
