@@ -74,8 +74,9 @@ def main(n: int = 24, seed: int = 7) -> int:
 
     # Phase 3 — every coordinator disappears at once.
     print("phase 3: the coordinator (and any stray leader bits) vanish")
-    for state in simulation.states():
-        state.leader = 0
+    states = simulation.states()
+    for agent, state in enumerate(states):
+        states[agent] = state._replace(leader=0)
     print(f"  leaders after the wipe: {leader_count(simulation.states())}")
     run_until_safe(simulation, params, budget, "coordinator re-election")
 

@@ -103,10 +103,12 @@ def stale_signals(n: int, params: PPLParams, rng: RandomSource) -> Configuration
     configuration = leaderless_configuration(n, params, detection_mode=False)
     states: List[PPLState] = configuration.states()
     for agent, state in enumerate(states):
-        state.mode = MODE_CONSTRUCT
-        state.signal_r = params.kappa_max if agent % 3 == 0 else rng.randint(0, params.kappa_max)
-        state.signal_b = 1 if agent % 2 == 0 else 0
-        state.bullet = rng.randint(0, 2)
+        states[agent] = state._replace(
+            mode=MODE_CONSTRUCT,
+            signal_r=params.kappa_max if agent % 3 == 0 else rng.randint(0, params.kappa_max),
+            signal_b=1 if agent % 2 == 0 else 0,
+            bullet=rng.randint(0, 2),
+        )
     return Configuration(states)
 
 

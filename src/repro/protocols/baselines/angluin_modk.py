@@ -121,7 +121,10 @@ class AngluinModKProtocol(LeaderElectionProtocol[AngluinState]):
             # A consistent follower keeps its label.
         left.coin = 1 - left.coin
         right.coin = 1 - right.coin
-        eliminate_leaders(left, right)
+        (left.bullet, left.shield, left.signal_b,
+         right.leader, right.bullet, right.shield, right.signal_b) = eliminate_leaders(
+            left.leader, left.bullet, left.shield, left.signal_b,
+            right.leader, right.bullet, right.shield, right.signal_b)
         return left, right
 
     def leader_flag(self, state: AngluinState) -> bool:

@@ -13,8 +13,8 @@ tracks its *exact* distance to the nearest left leader:
 
 Leader elimination is the bullets-and-shields war of Algorithm 5 (the target
 paper reuses it verbatim from this protocol), shared via
-:func:`repro.protocols.ppl.eliminate_leaders.eliminate_leaders` which only
-touches the ``leader`` / ``bullet`` / ``shield`` / ``signal_b`` fields.
+:func:`repro.protocols.ppl.eliminate_leaders.eliminate_leaders`, a pure
+function of the ``leader`` / ``bullet`` / ``shield`` / ``signal_b`` fields.
 
 The paper reports ``Theta(n^2)`` expected steps and ``O(n)`` states for this
 protocol; it is the main head-to-head comparison for ``P_PL`` in Table 1
@@ -100,7 +100,10 @@ class Yokota2021Protocol(LeaderElectionProtocol[YokotaState]):
             else:
                 right.dist = recomputed
         # Leader elimination: identical bullets-and-shields war as P_PL.
-        eliminate_leaders(left, right)
+        (left.bullet, left.shield, left.signal_b,
+         right.leader, right.bullet, right.shield, right.signal_b) = eliminate_leaders(
+            left.leader, left.bullet, left.shield, left.signal_b,
+            right.leader, right.bullet, right.shield, right.signal_b)
         return left, right
 
     def leader_flag(self, state: YokotaState) -> bool:

@@ -180,9 +180,7 @@ def single_leader_unconstructed(n: int, params: PPLParams,
     IDs before reaching ``S_PL``.
     """
     states = [PPLState.follower(dist=0, b=0, last=0) for _ in range(n)]
-    leader_state = PPLState.fresh_leader()
-    leader_state.bullet = 0
-    states[leader_at % n] = leader_state
+    states[leader_at % n] = PPLState.fresh_leader()._replace(bullet=0)
     return Configuration(states)
 
 
@@ -199,11 +197,11 @@ def configuration_with_invalid_tokens(n: int, params: PPLParams,
     states = configuration.states()
     psi = params.psi
     for agent in range(0, n, max(1, n // 8)):
-        state = states[agent]
         # A right-moving token whose landing falls in the wrong half of the
         # window is invalid by Definition 3.3.
         bad_position = source.randint(1, psi)
-        state.token_b = (bad_position, source.randint(0, 1), source.randint(0, 1))
+        states[agent] = states[agent]._replace(
+            token_b=(bad_position, source.randint(0, 1), source.randint(0, 1)))
     return Configuration(states)
 
 

@@ -25,46 +25,53 @@ steps w.h.p., putting the whole ring in the detection mode.
 
 from __future__ import annotations
 
-from repro.protocols.ppl.params import MODE_CONSTRUCT, MODE_DETECT, PPLParams
-from repro.protocols.ppl.state import PPLState
+from typing import Tuple
+
+from repro.protocols.ppl.params import MODE_CONSTRUCT, MODE_DETECT
 
 
-def determine_mode(left: PPLState, right: PPLState, params: PPLParams) -> None:
-    """Apply Algorithm 4 to the (initiator, responder) pair, mutating both states."""
-    psi = params.psi
-    kappa_max = params.kappa_max
+def determine_mode(l_leader: int, l_clock: int, l_signal_r: int,
+                   r_clock: int, r_hits: int, r_signal_r: int,
+                   psi: int, kappa_max: int
+                   ) -> Tuple[int, int, int, str, int, int, int, str]:
+    """Apply Algorithm 4 to the (initiator ``l``, responder ``r``) pair.
 
+    Takes the fields the algorithm reads and returns the ones it writes:
+    ``(l_hits, l_clock, l_signal_r, l_mode, r_hits, r_clock, r_signal_r,
+    r_mode)``.
+    """
     # Lines 34-35: a leader (as initiator) generates a fresh resetting signal.
-    if left.leader == 1:
-        left.signal_r = kappa_max
+    if l_leader == 1:
+        l_signal_r = kappa_max
 
     # Lines 36-37: the lottery game counters.  Interacting with the right
     # neighbor resets the counter; interacting with the left neighbor
     # increments it (capped at psi).
-    left.hits = 0
-    right.hits = min(right.hits + 1, psi)
+    l_hits = 0
+    r_hits = r_hits + 1 if r_hits < psi else psi
 
-    if left.signal_r > 0 or right.signal_r > 0:
+    if l_signal_r > 0 or r_signal_r > 0:
         # Line 39: any signal in sight resets both clocks.
-        left.clock = 0
-        right.clock = 0
+        l_clock = 0
+        r_clock = 0
         # Lines 40-41: when the left signal absorbs the right one, the
         # responder's lottery counter is reset to simplify the analysis.
-        if left.signal_r >= right.signal_r > 0:
-            right.hits = 0
+        if l_signal_r >= r_signal_r > 0:
+            r_hits = 0
         # Line 42: the surviving signal moves (or stays) right with the
         # larger TTL.
-        left.signal_r, right.signal_r = 0, max(left.signal_r, right.signal_r)
+        l_signal_r, r_signal_r = 0, max(l_signal_r, r_signal_r)
         # Lines 43-45: a lottery win observed by an agent holding a signal
         # decrements the signal's TTL.
-        if right.hits == psi:
-            right.signal_r = max(0, right.signal_r - 1)
-            right.hits = 0
-    elif right.hits == psi:
+        if r_hits == psi:
+            r_signal_r = max(0, r_signal_r - 1)
+            r_hits = 0
+    elif r_hits == psi:
         # Lines 46-48: a lottery win with no signal around advances the clock.
-        right.clock = min(right.clock + 1, kappa_max)
-        right.hits = 0
+        r_clock = min(r_clock + 1, kappa_max)
+        r_hits = 0
 
     # Lines 49-50: the mode is a pure function of the clock.
-    for agent in (left, right):
-        agent.mode = MODE_DETECT if agent.clock == kappa_max else MODE_CONSTRUCT
+    l_mode = MODE_DETECT if l_clock == kappa_max else MODE_CONSTRUCT
+    r_mode = MODE_DETECT if r_clock == kappa_max else MODE_CONSTRUCT
+    return l_hits, l_clock, l_signal_r, l_mode, r_hits, r_clock, r_signal_r, r_mode

@@ -20,39 +20,51 @@ war leaves exactly one leader within ``O(n^2)`` expected steps (Lemma 4.11).
 
 from __future__ import annotations
 
-from repro.protocols.ppl.state import BULLET_DUMMY, BULLET_LIVE, BULLET_NONE, PPLState
+from typing import Tuple
+
+from repro.protocols.ppl.state import BULLET_DUMMY, BULLET_LIVE, BULLET_NONE
 
 
-def eliminate_leaders(left: PPLState, right: PPLState) -> None:
-    """Apply Algorithm 5 to the (initiator, responder) pair, mutating both states."""
+def eliminate_leaders(l_leader: int, l_bullet: int, l_shield: int, l_signal_b: int,
+                      r_leader: int, r_bullet: int, r_shield: int, r_signal_b: int
+                      ) -> Tuple[int, int, int, int, int, int, int]:
+    """Apply Algorithm 5 to the (initiator ``l``, responder ``r``) pair.
+
+    Takes the war variables of both agents and returns the ones the
+    algorithm writes: ``(l_bullet, l_shield, l_signal_b, r_leader, r_bullet,
+    r_shield, r_signal_b)``.  Protocols whose states carry these four fields
+    under these names (``P_PL`` and the baselines that borrow the war) all
+    call this one function.
+    """
     # Lines 51-52: a leader acting as the initiator that has received the
     # bullet-absence signal fires a live bullet and raises its shield.
-    if left.leader == 1 and left.signal_b == 1:
-        left.bullet = BULLET_LIVE
-        left.shield = 1
-        left.signal_b = 0
+    if l_leader == 1 and l_signal_b == 1:
+        l_bullet = BULLET_LIVE
+        l_shield = 1
+        l_signal_b = 0
 
     # Lines 53-54: a leader acting as the responder that has received the
     # bullet-absence signal fires a dummy bullet and drops its shield.
-    if right.leader == 1 and right.signal_b == 1:
-        right.bullet = BULLET_DUMMY
-        right.shield = 0
-        right.signal_b = 0
+    if r_leader == 1 and r_signal_b == 1:
+        r_bullet = BULLET_DUMMY
+        r_shield = 0
+        r_signal_b = 0
 
-    if left.bullet > BULLET_NONE and right.leader == 1:
+    if l_bullet > BULLET_NONE and r_leader == 1:
         # Lines 55-57: a bullet reaching a leader disappears; a live bullet
         # kills the leader unless it is shielded.
-        if left.bullet == BULLET_LIVE and right.shield == 0:
-            right.leader = 0
-        left.bullet = BULLET_NONE
-    elif left.bullet > BULLET_NONE and right.leader == 0:
+        if l_bullet == BULLET_LIVE and r_shield == 0:
+            r_leader = 0
+        l_bullet = BULLET_NONE
+    elif l_bullet > BULLET_NONE and r_leader == 0:
         # Lines 58-61: the bullet moves right unless the right agent already
         # holds one, and it wipes out any bullet-absence signal it passes.
-        if right.bullet == BULLET_NONE:
-            right.bullet = left.bullet
-        left.bullet = BULLET_NONE
-        right.signal_b = 0
+        if r_bullet == BULLET_NONE:
+            r_bullet = l_bullet
+        l_bullet = BULLET_NONE
+        r_signal_b = 0
 
     # Line 62: the bullet-absence signal propagates right-to-left and is
     # (re)generated at the left neighbor of a leader.
-    left.signal_b = max(left.signal_b, right.signal_b, right.leader)
+    l_signal_b = max(l_signal_b, r_signal_b, r_leader)
+    return l_bullet, l_shield, l_signal_b, r_leader, r_bullet, r_shield, r_signal_b

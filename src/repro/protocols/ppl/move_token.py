@@ -23,8 +23,10 @@ moving token carries *its own* bits (see DESIGN.md, "Pseudocode ambiguities").
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.protocols.ppl.params import MODE_CONSTRUCT, MODE_DETECT, PPLParams
-from repro.protocols.ppl.state import PPLState, Token
+from repro.protocols.ppl.state import Token
 
 #: Marker for the black token variable (trajectory anchored at dist = 0 borders).
 BLACK = "B"
@@ -37,15 +39,18 @@ def token_offset(color: str, params: PPLParams) -> int:
     return 0 if color == BLACK else params.psi
 
 
-def is_invalid_token(state: PPLState, color: str, params: PPLParams) -> bool:
+def is_invalid_token(dist: int, token: Token, d: int, psi: int,
+                     dist_modulus: int) -> bool:
     """The ``InvalidToken(v, d)`` macro (Definition 3.3).
 
-    A token is invalid when its target, computed from the holder's ``dist``
-    and the token's relative position (normalised by ``d`` so that white
-    trajectories look like black ones), falls outside the Figure-2 trajectory:
-    a right-moving token must land on an agent at normalised distance
-    ``[psi, 2*psi - 1]`` (the second segment of its window) and a left-moving
-    token on ``[1, psi - 1]`` (the interior of the first segment).
+    ``dist`` is the holder's distance and ``token`` its token of the color
+    whose offset is ``d``.  A token is invalid when its target, computed
+    from ``dist`` and the token's relative position (normalised by ``d`` so
+    that white trajectories look like black ones), falls outside the
+    Figure-2 trajectory: a right-moving token must land on an agent at
+    normalised distance ``[psi, 2*psi - 1]`` (the second segment of its
+    window) and a left-moving token on ``[1, psi - 1]`` (the interior of the
+    first segment).
 
     Fidelity note: Definition 3.3 lists exactly these landing zones but flags
     a token as invalid when the landing falls *inside* them; read literally
@@ -56,14 +61,10 @@ def is_invalid_token(state: PPLState, color: str, params: PPLParams) -> bool:
     evident intent: invalid = landing *outside* the stated zone.  See
     DESIGN.md, "Pseudocode ambiguities resolved".
     """
-    token = state.token(color)
     if token is None:
         return False
-    offset = token_offset(color, params)
-    modulus = params.dist_modulus
-    psi = params.psi
     position = token[0]
-    landing = (state.dist + position + offset) % modulus
+    landing = (dist + position + d) % dist_modulus
     if position > 0 and not psi <= landing <= 2 * psi - 1:
         return True
     if position < 0 and not 1 <= landing <= psi - 1:
@@ -71,61 +72,70 @@ def is_invalid_token(state: PPLState, color: str, params: PPLParams) -> bool:
     return False
 
 
-def move_token(left: PPLState, right: PPLState, color: str, params: PPLParams) -> None:
-    """Apply Algorithm 3 for one token color to the interacting pair."""
-    psi = params.psi
-    offset = token_offset(color, params)
+def move_token(l_dist: int, l_b: int, l_last: int, l_token: Token,
+               r_dist: int, r_b: int, r_last: int, r_mode: str, r_token: Token,
+               d: int, psi: int, dist_modulus: int
+               ) -> Tuple[Token, Token, int, bool]:
+    """Apply Algorithm 3 for the token color with offset ``d`` to the pair.
 
+    ``l_token`` and ``r_token`` are the initiator's and the responder's
+    token of that color.  Returns the fields the algorithm writes,
+    ``(l_token, r_token, r_b, created)``: ``created`` is True when line 18
+    makes the responder a leader, which the caller applies as the
+    leader-creation assignment (see :func:`create_leader
+    <repro.protocols.ppl.create_leader.create_leader>`).
+    """
     # Lines 12-13: a border agent of this color that is not in the last
     # segment and holds no token creates one, initialised with the binary
     # increment of its own bit (value 1-b, carry b) and target psi to the
     # right.
-    if left.dist == offset and left.last == 0 and left.token(color) is None:
-        left.set_token(color, (psi, 1 - left.b, left.b))
+    if l_dist == d and l_last == 0 and l_token is None:
+        l_token = (psi, 1 - l_b, l_b)
 
     # Lines 14-15: a right-moving token disappears when it bumps into another
     # token of the same color or would enter the last segment.
-    if left.token(color) is not None and (right.token(color) is not None or right.last == 1):
-        left.set_token(color, None)
+    if l_token is not None and (r_token is not None or r_last == 1):
+        l_token = None
 
-    left_token: Token = left.token(color)
-    right_token: Token = right.token(color)
-
-    if left_token is not None and left_token[0] == 1:
+    created = False
+    if l_token is not None and l_token[0] == 1:
         # Lines 16-22: the token reaches its rightward target (the responder).
-        _, value_bit, carry_bit = left_token
-        if right.mode == MODE_DETECT and value_bit != right.b:
+        _, value_bit, carry_bit = l_token
+        if r_mode == MODE_DETECT and value_bit != r_b:
             # Line 18: the carried bit contradicts the embedded bit — the
             # configuration cannot be perfect, so create a leader.
-            right.become_leader()
-        elif right.mode == MODE_CONSTRUCT:
+            created = True
+        elif r_mode == MODE_CONSTRUCT:
             # Line 20: construction mode simply writes the bit.
-            right.b = value_bit
+            r_b = value_bit
         # Lines 21-22: turn around and head 1-psi agents to the left.
-        right.set_token(color, (1 - psi, value_bit, carry_bit))
-        left.set_token(color, None)
-    elif left_token is not None and left_token[0] >= 2:
+        r_token = (1 - psi, value_bit, carry_bit)
+        l_token = None
+    elif l_token is not None and l_token[0] >= 2:
         # Lines 23-25: keep moving right, decrementing the remaining distance.
-        right.set_token(color, (left_token[0] - 1, left_token[1], left_token[2]))
-        left.set_token(color, None)
-    elif right_token is not None and right_token[0] == -1:
+        r_token = (l_token[0] - 1, l_token[1], l_token[2])
+        l_token = None
+    elif r_token is not None and r_token[0] == -1:
         # Lines 26-28: the token reaches its leftward target (the initiator);
         # apply one step of the binary increment and head right again.
-        carry_bit = right_token[2]
-        if carry_bit == 1:
-            left.set_token(color, (psi, 1 - left.b, left.b))
+        if r_token[2] == 1:
+            l_token = (psi, 1 - l_b, l_b)
         else:
-            left.set_token(color, (psi, left.b, 0))
-        right.set_token(color, None)
-    elif right_token is not None and right_token[0] <= -2:
+            l_token = (psi, l_b, 0)
+        r_token = None
+    elif r_token is not None and r_token[0] <= -2:
         # Lines 29-31: keep moving left (carrying the token's own bits; see
         # the fidelity note in the module docstring).
-        left.set_token(color, (right_token[0] + 1, right_token[1], right_token[2]))
-        right.set_token(color, None)
+        l_token = (r_token[0] + 1, r_token[1], r_token[2])
+        r_token = None
 
     # Lines 32-33: tokens in the last segment and invalid tokens are deleted.
-    for agent in (left, right):
-        if agent.token(color) is not None and (
-            agent.last == 1 or is_invalid_token(agent, color, params)
-        ):
-            agent.set_token(color, None)
+    if l_token is not None and (
+        l_last == 1 or is_invalid_token(l_dist, l_token, d, psi, dist_modulus)
+    ):
+        l_token = None
+    if r_token is not None and (
+        r_last == 1 or is_invalid_token(r_dist, r_token, d, psi, dist_modulus)
+    ):
+        r_token = None
+    return l_token, r_token, r_b, created

@@ -13,9 +13,15 @@ from typing import Iterable, Tuple
 from repro.core.protocol import LeaderElectionProtocol
 from repro.core.rng import RandomSource
 from repro.protocols.ppl.create_leader import create_leader
+from repro.protocols.ppl.determine_mode import determine_mode
 from repro.protocols.ppl.eliminate_leaders import eliminate_leaders
+from repro.protocols.ppl.move_token import move_token
 from repro.protocols.ppl.params import PPLParams
-from repro.protocols.ppl.state import PPLState, random_state, validate_state
+from repro.protocols.ppl.state import BULLET_LIVE, PPLState, random_state, validate_state
+
+#: Builds a state from a tuple of its 13 field values; it skips the
+#: Python-level ``__new__`` a named tuple's constructor runs.
+_new_state = tuple.__new__
 
 
 class PPLProtocol(LeaderElectionProtocol[PPLState]):
@@ -23,6 +29,9 @@ class PPLProtocol(LeaderElectionProtocol[PPLState]):
 
     def __init__(self, params: PPLParams) -> None:
         self._params = params
+        self._psi = params.psi
+        self._kappa_max = params.kappa_max
+        self._dist_modulus = params.dist_modulus
         self.name = f"P_PL(psi={params.psi}, kappa_max={params.kappa_max})"
 
     # ------------------------------------------------------------------ #
@@ -36,14 +45,52 @@ class PPLProtocol(LeaderElectionProtocol[PPLState]):
     def transition(self, initiator: PPLState, responder: PPLState) -> Tuple[PPLState, PPLState]:
         """Algorithm 1: apply ``CreateLeader()`` then ``EliminateLeaders()``.
 
-        The input states are never mutated; fresh copies are updated in place
-        by the two sub-routines and returned.
+        Each state is unpacked once; the algorithms' functions run in the
+        paper's order on the field values (Algorithm 2 line 3, lines 4-9,
+        lines 10 and 11, then Algorithm 5), and the two output states are
+        built once.
         """
-        left = initiator.copy()
-        right = responder.copy()
-        create_leader(left, right, self._params)
-        eliminate_leaders(left, right)
-        return left, right
+        (l_leader, l_b, l_dist, l_last, l_token_b, l_token_w, l_mode, l_clock,
+         l_hits, l_signal_r, l_bullet, l_shield, l_signal_b) = initiator
+        (r_leader, r_b, r_dist, r_last, r_token_b, r_token_w, r_mode, r_clock,
+         r_hits, r_signal_r, r_bullet, r_shield, r_signal_b) = responder
+        psi = self._psi
+        dist_modulus = self._dist_modulus
+
+        # Algorithm 1 line 1, CreateLeader(): Algorithm 2 line 3 ...
+        (l_hits, l_clock, l_signal_r, l_mode,
+         r_hits, r_clock, r_signal_r, r_mode) = determine_mode(
+            l_leader, l_clock, l_signal_r, r_clock, r_hits, r_signal_r,
+            psi, self._kappa_max)
+        # ... lines 4-9 ...
+        l_last, r_dist, created = create_leader(
+            l_dist, r_leader, r_dist, r_last, r_mode, psi, dist_modulus)
+        # ... line 10 (black tokens, d = 0) and line 11 (white, d = psi).
+        l_token_b, r_token_b, r_b, created_b = move_token(
+            l_dist, l_b, l_last, l_token_b, r_dist, r_b, r_last, r_mode, r_token_b,
+            0, psi, dist_modulus)
+        l_token_w, r_token_w, r_b, created_w = move_token(
+            l_dist, l_b, l_last, l_token_w, r_dist, r_b, r_last, r_mode, r_token_w,
+            psi, psi, dist_modulus)
+        if created or created_b or created_w:
+            # Algorithm 2 line 6 / Algorithm 3 line 18: the new leader fires a
+            # live bullet, raises its shield and clears the absence signal.
+            r_leader, r_bullet, r_shield, r_signal_b = 1, BULLET_LIVE, 1, 0
+
+        # Algorithm 1 line 2, EliminateLeaders().
+        (l_bullet, l_shield, l_signal_b,
+         r_leader, r_bullet, r_shield, r_signal_b) = eliminate_leaders(
+            l_leader, l_bullet, l_shield, l_signal_b,
+            r_leader, r_bullet, r_shield, r_signal_b)
+
+        return (
+            _new_state(PPLState, (l_leader, l_b, l_dist, l_last, l_token_b, l_token_w,
+                                  l_mode, l_clock, l_hits, l_signal_r, l_bullet,
+                                  l_shield, l_signal_b)),
+            _new_state(PPLState, (r_leader, r_b, r_dist, r_last, r_token_b, r_token_w,
+                                  r_mode, r_clock, r_hits, r_signal_r, r_bullet,
+                                  r_shield, r_signal_b)),
+        )
 
     def leader_flag(self, state: PPLState) -> bool:
         return state.leader == 1

@@ -258,7 +258,9 @@ def all_tokens_valid_and_correct(states: Sequence[PPLState], params: PPLParams) 
     zeta = expected_segment_count(len(states), params.psi)
     for view in token_views(states, params):
         holder_state = ordered[view.holder]
-        if is_invalid_token(holder_state, view.color, params):
+        if is_invalid_token(holder_state.dist, view.token,
+                            token_offset(view.color, params), params.psi,
+                            params.dist_modulus):
             return False
         if view.window_start < 0 or view.segment_rank > zeta - 2:
             return False

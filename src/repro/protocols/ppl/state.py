@@ -28,8 +28,7 @@ flag ``b''``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.core.errors import InvalidStateError
 from repro.core.rng import RandomSource
@@ -44,14 +43,12 @@ BULLET_DUMMY = 1
 BULLET_LIVE = 2
 
 
-@dataclass(eq=True)
-class PPLState:
-    """Mutable state record for one agent running ``P_PL``."""
+class PPLState(NamedTuple):
+    """Immutable state record for one agent running ``P_PL``.
 
-    __slots__ = (
-        "leader", "b", "dist", "last", "token_b", "token_w",
-        "mode", "clock", "hits", "signal_r", "bullet", "shield", "signal_b",
-    )
+    A named tuple, so a state is hashable and is its own table key; a
+    variant of a state is built with ``_replace``.
+    """
 
     leader: int
     b: int
@@ -93,18 +90,6 @@ class PPLState:
             bullet=BULLET_LIVE, shield=1, signal_b=0,
         )
 
-    def copy(self) -> "PPLState":
-        """A field-by-field copy (tokens are immutable tuples, so shallow is deep).
-
-        Positional, in field order: every transition makes two copies, and
-        passing the 13 fields by keyword takes about three times as long.
-        """
-        return PPLState(
-            self.leader, self.b, self.dist, self.last, self.token_b, self.token_w,
-            self.mode, self.clock, self.hits, self.signal_r,
-            self.bullet, self.shield, self.signal_b,
-        )
-
     # ------------------------------------------------------------------ #
     # Derived predicates
     # ------------------------------------------------------------------ #
@@ -120,27 +105,9 @@ class PPLState:
         """Return the black (``"B"``) or white (``"W"``) token."""
         return self.token_b if color == "B" else self.token_w
 
-    def set_token(self, color: str, value: Token) -> None:
-        """Assign the black (``"B"``) or white (``"W"``) token."""
-        if color == "B":
-            self.token_b = value
-        else:
-            self.token_w = value
-
-    def become_leader(self) -> None:
-        """Apply the leader-creation assignment of Alg. 2 line 6 / Alg. 3 line 18."""
-        self.leader = 1
-        self.bullet = BULLET_LIVE
-        self.shield = 1
-        self.signal_b = 0
-
     def as_tuple(self) -> tuple:
-        """Hashable projection of the full state (used by tests and counters)."""
-        return (
-            self.leader, self.b, self.dist, self.last, self.token_b, self.token_w,
-            self.mode, self.clock, self.hits, self.signal_r,
-            self.bullet, self.shield, self.signal_b,
-        )
+        """The 13 field values as a plain tuple, in declaration order."""
+        return tuple(self)
 
 
 def validate_token(token: Token, params: PPLParams, name: str) -> None:

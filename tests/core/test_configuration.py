@@ -51,9 +51,7 @@ def test_map_applies_transform():
 
     def promote_first(index, state):
         if index == 0:
-            replacement = state.copy()
-            replacement.leader = 1
-            return replacement
+            return state._replace(leader=1)
         return state
 
     mapped = configuration.map(promote_first)
@@ -72,8 +70,7 @@ def test_leader_helpers_use_protocol_output():
 
 def test_validate_reports_agent_index():
     protocol = PPLProtocol(make_params())
-    bad = PPLState.follower(dist=0)
-    bad.dist = 999
+    bad = PPLState.follower(dist=0)._replace(dist=999)
     configuration = Configuration([PPLState.fresh_leader(), bad])
     with pytest.raises(InvalidConfigurationError) as excinfo:
         configuration.validate(protocol)
@@ -90,7 +87,7 @@ def test_random_configuration_is_valid(rng: RandomSource):
 
 def test_uniform_and_factory_builders():
     template = PPLState.follower(dist=1)
-    uniform = uniform_configuration(4, template, lambda state: state.copy())
+    uniform = uniform_configuration(4, template, lambda state: state._replace())
     assert all(state.dist == 1 for state in uniform)
     assert uniform[0] is not uniform[1]
 

@@ -18,7 +18,7 @@ from repro.protocols.ppl.configurations import (
     perfect_configuration,
     single_leader_unconstructed,
 )
-from repro.protocols.ppl.move_token import BLACK, is_invalid_token
+from repro.protocols.ppl.move_token import is_invalid_token
 from repro.protocols.ppl.params import MODE_CONSTRUCT, MODE_DETECT, PPLParams
 from repro.protocols.ppl.protocol import PPLProtocol
 from repro.protocols.ppl.safety import in_spl, leader_count
@@ -89,7 +89,8 @@ def test_invalid_token_configuration_contains_invalid_tokens():
     configuration = configuration_with_invalid_tokens(N, PARAMS, rng=2)
     states = configuration.states()
     assert any(
-        state.token_b is not None and is_invalid_token(state, BLACK, PARAMS)
+        state.token_b is not None
+        and is_invalid_token(state.dist, state.token_b, 0, PARAMS.psi, PARAMS.dist_modulus)
         for state in states
     )
 

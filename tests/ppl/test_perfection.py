@@ -64,7 +64,7 @@ def test_segment_id_bits_round_trip():
 
 def test_dist_rule_violation_detected():
     states = perfect_configuration(12, PARAMS).states()
-    states[5].dist = 0  # corrupt one distance (not a legal border position)
+    states[5] = states[5]._replace(dist=0)  # corrupt one distance (not a legal border position)
     assert dist_rule_violations(states, PARAMS)
     assert not is_perfect(states, PARAMS)
 
@@ -77,7 +77,7 @@ def test_segment_rule_violation_detected():
     # Corrupt the ID of an interior segment (away from the leader).
     victim = segments(states, params)[2]
     for agent in victim.agents:
-        states[agent].b = 1 - states[agent].b
+        states[agent] = states[agent]._replace(b=1 - states[agent].b)
     assert segment_rule_violations(states, params)
     assert not is_perfect(states, params)
 
@@ -113,9 +113,7 @@ def test_render_segment_ids_mentions_leader_and_ids():
 
 
 def test_render_handles_borderless_configuration():
-    states = perfect_configuration(12, PARAMS).states()
-    for state in states:
-        state.dist = 1
+    states = [state._replace(dist=1) for state in perfect_configuration(12, PARAMS)]
     assert "violates" in render_segment_ids(states, PARAMS)
 
 

@@ -64,7 +64,7 @@ def test_transition_does_not_mutate_inputs(seed):
 def test_initiator_leadership_is_never_revoked_in_one_interaction(seed):
     """Only a live bullet arriving at the *responder* can kill a leader."""
     left, right = states_from_seed(seed)
-    left.leader = 1
+    left = left._replace(leader=1)
     new_left, _ = PROTOCOL.transition(left, right)
     assert new_left.leader == 1
 
@@ -73,9 +73,8 @@ def test_initiator_leadership_is_never_revoked_in_one_interaction(seed):
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_shielded_responder_leader_survives(seed):
     left, right = states_from_seed(seed)
-    right.leader = 1
-    right.shield = 1
-    right.signal_b = 0  # not about to fire a dummy bullet (which drops the shield)
+    # signal_b = 0: not about to fire a dummy bullet (which drops the shield).
+    right = right._replace(leader=1, shield=1, signal_b=0)
     _, new_right = PROTOCOL.transition(left, right)
     assert new_right.leader == 1
 
@@ -84,8 +83,7 @@ def test_shielded_responder_leader_survives(seed):
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_newly_created_leaders_are_armed_and_shielded(seed):
     left, right = states_from_seed(seed)
-    left.leader = 0
-    right.leader = 0
+    left, right = left._replace(leader=0), right._replace(leader=0)
     new_left, new_right = PROTOCOL.transition(left, right)
     assert new_left.leader == 0  # only the responder can detect and become a leader
     if new_right.leader == 1:

@@ -40,7 +40,7 @@ def test_leader_counting_and_unique_index():
     states = safe_states()
     assert leader_count(states) == 1
     assert unique_leader_index(states) == 0
-    states[5].leader = 1
+    states[5] = states[5]._replace(leader=1)
     assert leader_count(states) == 2
     assert unique_leader_index(states) is None
 
@@ -60,21 +60,21 @@ def test_distances_to_nearest_leaders():
 # ---------------------------------------------------------------------- #
 def test_peaceful_bullet_requires_shielded_left_leader_and_clean_path():
     states = safe_states()
-    states[4].bullet = BULLET_LIVE
+    states[4] = states[4]._replace(bullet=BULLET_LIVE)
     assert is_peaceful_bullet(states, 4)          # leader at 0 is shielded
-    states[2].signal_b = 1                        # a bullet-absence signal in between
+    states[2] = states[2]._replace(signal_b=1)  # a bullet-absence signal in between
     assert not is_peaceful_bullet(states, 4)
-    states[2].signal_b = 0
-    states[0].shield = 0
+    states[2] = states[2]._replace(signal_b=0)
+    states[0] = states[0]._replace(shield=0)
     assert not is_peaceful_bullet(states, 4)
 
 
 def test_cpb_membership():
     states = safe_states()
     assert in_cpb(states)
-    states[4].bullet = BULLET_LIVE
+    states[4] = states[4]._replace(bullet=BULLET_LIVE)
     assert in_cpb(states)
-    states[0].shield = 0
+    states[0] = states[0]._replace(shield=0)
     assert not in_cpb(states)
     assert not in_cpb(leaderless_configuration(N, PARAMS).states())
 
@@ -83,8 +83,8 @@ def test_no_live_bullet_and_no_signal_sets():
     states = safe_states()
     assert in_c_no_live_bullet(states)
     assert in_c_no_bullet_absence_signal(states)
-    states[3].bullet = BULLET_LIVE
-    states[7].signal_b = 1
+    states[3] = states[3]._replace(bullet=BULLET_LIVE)
+    states[7] = states[7]._replace(signal_b=1)
     assert not in_c_no_live_bullet(states)
     assert not in_c_no_bullet_absence_signal(states)
 
@@ -102,18 +102,18 @@ def test_perfect_configuration_is_in_cdl_and_spl():
 
 def test_cdl_requires_exact_distances_and_last_flags():
     states = safe_states()
-    states[5].dist = (states[5].dist + 1) % PARAMS.dist_modulus
+    states[5] = states[5]._replace(dist=(states[5].dist + 1) % PARAMS.dist_modulus)
     assert not in_cdl(states, PARAMS)
 
     states = safe_states()
-    states[N - 1].last = 0
+    states[N - 1] = states[N - 1]._replace(last=0)
     assert not in_cdl(states, PARAMS)
 
 
 def test_spl_requires_consistent_segment_ids():
     states = safe_states()
     # Flip a bit in an interior segment: still CDL, no longer SPL.
-    states[5].b = 1 - states[5].b
+    states[5] = states[5]._replace(b=1 - states[5].b)
     assert in_cdl(states, PARAMS)
     assert not segment_ids_consistent(states, PARAMS)
     assert not in_spl(states, PARAMS)
@@ -124,7 +124,7 @@ def test_spl_rejects_incorrect_tokens():
     # A valid-looking token whose value bit contradicts the binary increment.
     first_segment_bits = [states[j].b for j in range(PARAMS.psi)]
     wrong_value = 1 - (first_segment_bits[0] ^ 1)
-    states[0].token_b = (PARAMS.psi, wrong_value, first_segment_bits[0])
+    states[0] = states[0]._replace(token_b=(PARAMS.psi, wrong_value, first_segment_bits[0]))
     assert not all_tokens_valid_and_correct(states, PARAMS)
     assert not in_spl(states, PARAMS)
 
@@ -132,7 +132,7 @@ def test_spl_rejects_incorrect_tokens():
 def test_spl_accepts_freshly_created_token():
     states = safe_states()
     # Exactly what line 13 creates at the black border u_0.
-    states[0].token_b = (PARAMS.psi, 1 - states[0].b, states[0].b)
+    states[0] = states[0]._replace(token_b=(PARAMS.psi, 1 - states[0].b, states[0].b))
     assert all_tokens_valid_and_correct(states, PARAMS)
     assert in_spl(states, PARAMS)
 

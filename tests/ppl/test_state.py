@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.encoding import state_key
 from repro.core.errors import InvalidStateError
 from repro.core.rng import RandomSource
 from repro.protocols.ppl.params import MODE_CONSTRUCT, MODE_DETECT, PPLParams
+from repro.protocols.ppl.protocol import PPLProtocol
 from repro.protocols.ppl.state import (
     BULLET_LIVE,
     PPLState,
@@ -33,19 +35,35 @@ def test_follower_and_fresh_leader_constructors():
     validate_state(leader, PARAMS)
 
 
-def test_copy_is_independent():
+def test_replace_builds_an_independent_variant():
     original = PPLState.follower(dist=2)
-    clone = original.copy()
-    clone.dist = 5
-    clone.token_b = (1, 0, 1)
+    variant = original._replace(dist=5, token_b=(1, 0, 1))
+    assert (variant.dist, variant.token_b) == (5, (1, 0, 1))
     assert original.dist == 2
     assert original.token_b is None
     assert original == PPLState.follower(dist=2)
 
 
-def test_become_leader_matches_creation_rule():
-    state = PPLState.follower(dist=3)
-    state.become_leader()
+@pytest.mark.parametrize("field", PPLState._fields)
+def test_assigning_a_field_raises(field):
+    state = PPLState.follower(dist=2)
+    with pytest.raises(AttributeError):
+        setattr(state, field, getattr(state, field))
+    assert state == PPLState.follower(dist=2)
+
+
+def test_states_are_hashable_and_their_own_table_key():
+    state = PPLState.follower(dist=2)
+    assert state_key(state) is state
+    assert {state: 1}[PPLState.follower(dist=2)] == 1
+
+
+def test_created_leader_matches_creation_rule():
+    # A detecting responder whose dist disagrees with the recomputed one
+    # (Algorithm 2 lines 5-6) becomes a leader.
+    protocol = PPLProtocol(PARAMS)
+    detecting = PPLState.follower(dist=3, mode=MODE_DETECT)._replace(clock=PARAMS.kappa_max)
+    _, state = protocol.transition(PPLState.follower(dist=0), detecting)
     assert state.leader == 1
     assert state.bullet == BULLET_LIVE
     assert state.shield == 1
@@ -61,9 +79,7 @@ def test_border_predicate():
 
 
 def test_token_accessors():
-    state = PPLState.follower()
-    state.set_token("B", (2, 1, 0))
-    state.set_token("W", (-1, 0, 1))
+    state = PPLState.follower()._replace(token_b=(2, 1, 0), token_w=(-1, 0, 1))
     assert state.token("B") == (2, 1, 0)
     assert state.token("W") == (-1, 0, 1)
     assert state.token_b == (2, 1, 0)
@@ -97,8 +113,7 @@ def test_validate_token_accepts_good_tokens(token):
     ],
 )
 def test_validate_state_rejects_out_of_domain_fields(field, value):
-    state = PPLState.follower(dist=1)
-    setattr(state, field, value)
+    state = PPLState.follower(dist=1)._replace(**{field: value})
     with pytest.raises(InvalidStateError):
         validate_state(state, PARAMS)
 
@@ -117,9 +132,10 @@ def test_random_token_is_always_valid(seed):
 def test_as_tuple_round_trips_equality():
     rng = RandomSource(5)
     a = random_state(rng, PARAMS)
-    b = a.copy()
+    b = PPLState(*a.as_tuple())
     assert a.as_tuple() == b.as_tuple()
-    b.clock = (b.clock + 1) % (PARAMS.kappa_max + 1)
+    assert a == b
+    b = b._replace(clock=(b.clock + 1) % (PARAMS.kappa_max + 1))
     assert a.as_tuple() != b.as_tuple()
 
 
