@@ -5,9 +5,10 @@
 ``protocol.transition`` Python call, two state copies, two equality checks,
 and an observer loop per interaction, it
 
-* draws scheduler arcs in blocks (one ``randrange`` per step, the same draws
-  in the same order as :class:`~repro.core.scheduler.UniformRandomScheduler`,
-  so random streams are bit-identical across engines),
+* draws scheduler arcs in blocks (one ``randrange`` per step, run as its own
+  ``getrandbits`` rejection loop: the same draws in the same order as
+  :class:`~repro.core.scheduler.UniformRandomScheduler`, so random streams
+  are bit-identical across engines),
 * holds the agents as integer codes — a state gets one the first time it is
   seen (:func:`~repro.core.encoding.state_key`) — and fills a transition
   table lazily: a ``(code_i, code_r)`` pair calls ``protocol.transition``
@@ -120,6 +121,9 @@ class BatchedSimulation(Generic[StateT]):
         self._scheduler = scheduler
         self._rng = None if scheduler is not None else ensure_source(rng)
         self._num_arcs = population.num_arcs  # repro: allow[REP006]
+        # Bits per arc draw: randrange(num_arcs) draws this many bits until
+        # the value falls below num_arcs.
+        self._draw_bits = self._num_arcs.bit_length()  # repro: allow[REP006]
         # Index an arc list only when the population already has one; lazy
         # populations (large complete graphs) stay allocation-free via the
         # closed-form arc_by_index path.
@@ -377,15 +381,26 @@ class BatchedSimulation(Generic[StateT]):
                 exhausted = error
         else:
             # The same randrange stream, in the same order, as the
-            # uniformly random scheduler.
-            randrange = self._rng.randrange_callable()
+            # uniformly random scheduler: randrange's own rejection loop.
+            getrandbits = self._rng.getrandbits_callable()
+            bits = self._draw_bits
             num_arcs = self._num_arcs
-            if self._arc_list is not None:
-                arc_list = self._arc_list
-                arcs = [arc_list[randrange(num_arcs)] for _ in range(count)]
+            arcs = []
+            append = arcs.append
+            arc_list = self._arc_list
+            if arc_list is not None:
+                for _ in range(count):
+                    index = getrandbits(bits)
+                    while index >= num_arcs:
+                        index = getrandbits(bits)
+                    append(arc_list[index])
             else:
                 arc_by_index = self._population.arc_by_index
-                arcs = [arc_by_index(randrange(num_arcs)) for _ in range(count)]
+                for _ in range(count):
+                    index = getrandbits(bits)
+                    while index >= num_arcs:
+                        index = getrandbits(bits)
+                    append(arc_by_index(index))
         codes = self._codes
         stride = self._stride
         lookup = self._table.get

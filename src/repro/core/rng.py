@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 ItemT = TypeVar("ItemT")
 
@@ -74,18 +74,18 @@ class RandomSource:
         """Uniform integer in ``[0, upper)``."""
         return self._random.randrange(upper)
 
-    def randrange_callable(self):
-        """The fastest ``upper -> [0, upper)`` callable with the same stream.
+    def getrandbits_callable(self) -> Callable[[int], int]:
+        """The generator's own ``getrandbits``: ``k -> [0, 2**k)``.
 
-        For a positive ``upper``, ``random.Random.randrange(upper)`` is a thin
-        argument-checking wrapper around ``_randbelow`` — the two consume the
-        generator identically, so hot loops (the batched engine draws one
-        index per interaction) can skip the wrapper without perturbing any
-        seeded stream.  Falls back to :meth:`randrange` if the CPython
-        internal ever disappears; the engine cross-check suite would catch a
-        stream divergence either way.
+        For a positive ``upper``, ``random.Random.randrange(upper)`` draws
+        ``getrandbits(upper.bit_length())`` until the value falls below
+        ``upper``.  A hot loop that runs that rejection loop itself on this
+        callable (the batched engine draws one arc index per interaction)
+        consumes the seeded stream exactly as :meth:`randrange` does, without
+        its two Python-level calls per draw; the engine cross-check suite
+        asserts the two streams agree.
         """
-        return getattr(self._random, "_randbelow", None) or self.randrange
+        return self._random.getrandbits
 
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""

@@ -98,6 +98,10 @@ def test_batched_engine_matches_step_engine_from_the_same_seed(name, topology):
     """The internal block drawing consumes the same randrange stream as
     UniformRandomScheduler, so equal seeds give equal executions."""
     _, protocol, population, initial = _trial_ingredients(name, topology)
+    _assert_same_seed_runs_agree(protocol, population, initial)
+
+
+def _assert_same_seed_runs_agree(protocol, population, initial) -> None:
     step_sim = Simulation(protocol, population, initial, rng=123)
     batched = BatchedSimulation(protocol, population, initial, rng=123)
     step_sim.run(7_500)
@@ -105,6 +109,22 @@ def test_batched_engine_matches_step_engine_from_the_same_seed(name, topology):
     assert batched.states() == step_sim.states()
     assert batched.metrics == step_sim.metrics
     assert batched.leader_count() == step_sim.leader_count()
+
+
+@pytest.mark.parametrize("name", ["ppl", "yokota2021"])
+@pytest.mark.parametrize("n", [127, 128, 129])
+def test_batched_engine_matches_step_engine_from_the_same_seed_around_a_power_of_two(name, n):
+    """Directed rings with just under, exactly and just over 2**7 arcs: the
+    arc draws take 7, 8 and 8 bits and reject 1/128, 1/2 and 127/256 of
+    them."""
+    spec = get_spec(name)
+    config = ExperimentConfig()
+    protocol = spec.build_protocol(n, config)
+    population = spec.build_population(n, config)
+    assert population.num_arcs == n
+    initial = spec.build_configuration(spec.default_family, protocol, n, RandomSource(3),
+                                       population=population)
+    _assert_same_seed_runs_agree(protocol, population, initial)
 
 
 @pytest.mark.parametrize("name", ["ppl", "yokota2021"])
@@ -286,13 +306,23 @@ def test_batched_sequence_exhaustion_leaves_consistent_counters():
     assert batched.steps == 75  # the failed step was not recorded
 
 
-def test_fast_draw_callable_consumes_the_same_stream_as_randrange():
-    """The batched engine's block draws skip the randrange wrapper; the
-    shortcut must consume the seeded generator identically."""
+@pytest.mark.parametrize("upper", [1, 2, 127, 128, 129, 1000])
+def test_getrandbits_rejection_loop_consumes_the_same_stream_as_randrange(upper):
+    """The batched engine runs randrange's rejection loop itself on the
+    generator's getrandbits; it must consume the seeded stream identically."""
     reference, fast_source = RandomSource(99), RandomSource(99)
-    fast = fast_source.randrange_callable()
-    assert [reference.randrange(1000) for _ in range(5000)] == \
-           [fast(1000) for _ in range(5000)]
+    getrandbits = fast_source.getrandbits_callable()
+    bits = upper.bit_length()
+
+    def draw() -> int:
+        index = getrandbits(bits)
+        while index >= upper:
+            index = getrandbits(bits)
+        return index
+
+    assert [reference.randrange(upper) for _ in range(5000)] == \
+           [draw() for _ in range(5000)]
+    assert reference.getstate() == fast_source.getstate()
 
 
 def test_batched_engine_keeps_lazy_populations_lazy():
