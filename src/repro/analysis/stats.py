@@ -5,7 +5,7 @@ states).  The experiment harness turns measured step counts into
 
 * per-``n`` summaries (mean / median / max over independent trials), and
 * least-squares fits of the measured means against candidate growth laws
-  (``n^2``, ``n^2 log n``, ``n^3``), so EXPERIMENTS.md can report which law
+  (``n^2``, ``n^2 log n``, ``n^3``), so the reports can state which law
   describes the data best — the "shape" reproduction the benchmarks target.
 """
 

@@ -23,8 +23,10 @@ class ExperimentConfig:
 
     ``kappa_factor`` applies to ``P_PL`` only; the paper's constant is 32 but
     the default here is 4 so that the full sweep finishes in benchmark time —
-    every report states the value used (the constant multiplies only the
-    w.h.p. margin, not the asymptotic shape).
+    every report states the value used.  The constant is more than a w.h.p.
+    margin: from the leaderless trap, mean convergence times are 8.3-8.4x
+    larger at 32 than at 4 (n = 32 and 64), while from uniform adversarial
+    starts the two are nearly equal (DESIGN.md §1.6).
 
     ``engine`` selects the simulation engine for every trial: ``"auto"``
     (default) runs the batched engine's lazily filled table, and the step

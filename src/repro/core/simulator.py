@@ -179,9 +179,9 @@ class Simulation(Generic[StateT]):
         :meth:`run_until` calls resume where the previous segment stopped,
         this is what lets phased scenarios replay any segment on any engine.
 
-        States are deep-copied in both directions: protocols with mutable
-        state objects (``PPLState`` and friends) update them in place, so a
-        shallow capture would be silently corrupted by further execution.
+        States are deep-copied in both directions: mutable state objects
+        (the baselines' dataclass states) could be updated in place, so a
+        shallow capture could be silently corrupted by further execution.
         """
         metrics = self._metrics
         return {

@@ -1,7 +1,7 @@
 """Plain-text report formatting shared by every experiment harness.
 
 Experiments return structured rows; this module turns them into the aligned
-text tables that the benchmarks print and EXPERIMENTS.md quotes.  No plotting
+text tables that the benchmarks and the CLI print.  No plotting
 library is used (the environment is offline); "figures" are reproduced as
 numeric series plus ASCII renderings.
 """

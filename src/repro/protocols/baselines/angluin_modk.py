@@ -19,8 +19,8 @@ branches are exercised with probability 1, which keeps the protocol
 self-stabilizing: stale violations are eventually repaired, genuine
 leaderlessness eventually creates a leader.  The state budget stays
 ``O(k) = O(1)``; the measured convergence is faster than the original
-``Theta(n^3)`` because of the borrowed elimination machinery, which
-EXPERIMENTS.md reports explicitly.
+``Theta(n^3)`` because of the borrowed elimination machinery, which the
+Table-1 row states ("elimination modernised"; DESIGN.md §2.4).
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ written/checked and ``b''`` the carry flag of the binary increment.
 Pseudocode fidelity note: line 30 of the paper reads
 ``l.token <- (r.token[1]+1, l.token[2], l.token[3])`` although ``l.token`` may
 be absent at that point; we implement the evident intent that a leftward
-moving token carries *its own* bits (see DESIGN.md, "Pseudocode ambiguities").
+moving token carries *its own* bits (see DESIGN.md, "Pseudocode ambiguities
+resolved").
 """
 
 from __future__ import annotations
