@@ -26,13 +26,11 @@ StateT = TypeVar("StateT")
 ConfigurationFactory = Callable[[RandomSource], Configuration]
 #: Convergence predicate evaluated on the live state list.
 Predicate = Callable[[Sequence[StateT]], bool]
-#: Builds a simulation for one trial (hook for oracle-augmented simulations).
-SimulationFactory = Callable[[Protocol, Population, Configuration, RandomSource], Simulation]
 
 
-def default_simulation_factory(protocol: Protocol, population: Population,
-                               initial: Configuration, rng: RandomSource) -> Simulation:
-    """The standard :class:`Simulation` constructor used unless a factory overrides it."""
+def _seeded_simulation(protocol: Protocol, population: Population,
+                       initial: Configuration, rng: RandomSource) -> Simulation:
+    """The step-engine :class:`Simulation` of one trial, seeded by one ``rng.randint``."""
     return Simulation(protocol, population, initial, rng=rng.randint(0, 2 ** 31 - 1))
 
 
@@ -77,7 +75,6 @@ def measure_convergence(
     max_steps: int,
     check_interval: int = 64,
     rng: "RandomSource | int | None" = None,
-    simulation_factory: SimulationFactory = default_simulation_factory,
 ) -> ConvergenceResult[StateT]:
     """Run ``trials`` independent executions and record the steps to reach ``predicate``.
 
@@ -97,7 +94,7 @@ def measure_convergence(
     for trial in range(trials):
         trial_rng = source.spawn(f"trial-{trial}")
         initial = configuration_factory(trial_rng.spawn("configuration"))
-        simulation = simulation_factory(protocol, population, initial,
+        simulation = _seeded_simulation(protocol, population, initial,
                                         trial_rng.spawn("scheduler"))
         run = simulation.run_until(predicate, max_steps=max_steps,
                                    check_interval=check_interval)
@@ -191,7 +188,7 @@ def closure_check(
     raised, so tests can report how badly closure failed if it does.
     """
     source = ensure_source(rng)
-    simulation = default_simulation_factory(protocol, population, safe_configuration, source)
+    simulation = _seeded_simulation(protocol, population, safe_configuration, source)
     reference_outputs = [protocol.output(state) for state in simulation.states()]
     changes = 0
     unique = True
@@ -220,7 +217,7 @@ def leader_count_trajectory(
     if sample_interval < 1:
         raise InvalidParameterError(f"sample_interval must be >= 1, got {sample_interval}")
     source = ensure_source(rng)
-    simulation = default_simulation_factory(protocol, population, initial, source)
+    simulation = _seeded_simulation(protocol, population, initial, source)
     trajectory = [(0, simulation.leader_count())]
     executed = 0
     while executed < steps:

@@ -29,7 +29,7 @@ from repro.api.config import (
     freeze_topology_params,
 )
 from repro.api.executor import TrialResult, run_trials, trial_tasks
-from repro.api.registry import ProtocolSpec, get_spec
+from repro.api.registry import ProtocolSpec, get_spec, resolve_engine
 from repro.scenario.spec import (
     DEGENERATE_PHASE,
     CanonicalScenario,
@@ -300,13 +300,11 @@ class ExperimentBuilder:
         """Pick the simulation engine: ``"auto"`` (default), ``"step"``, or
         ``"batched"``.
 
-        ``"auto"`` runs the batched engine's lazily filled table (the step
-        loop only for specs that need it); trial outcomes are bit-identical
-        on both engines.  Validated against the spec immediately, so e.g.
-        forcing the table onto the oracle-backed ``fischer-jiang`` fails
-        here rather than mid-run.
+        ``"auto"`` runs the batched engine's lazily filled table for every
+        simulated spec; trial outcomes are bit-identical on both engines.
+        An unknown name fails here rather than mid-run.
         """
-        self._spec.resolve_engine(mode)
+        resolve_engine(mode)
         self._engine = mode
         return self
 

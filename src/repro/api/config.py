@@ -29,10 +29,9 @@ class ExperimentConfig:
     starts the two are nearly equal (DESIGN.md §1.6).
 
     ``engine`` selects the simulation engine for every trial: ``"auto"``
-    (default) runs the batched engine's lazily filled table, and the step
-    loop only for specs that need it; ``"step"`` forces the step loop;
-    ``"batched"`` requires the table and errors when it does not apply.
-    Both engines produce bit-identical trial results for the same seed.
+    (default) and ``"batched"`` run the batched engine's lazily filled
+    table, ``"step"`` the step loop, for every simulated spec.  Both engines
+    produce bit-identical trial results for the same seed.
 
     ``check_backoff`` turns on the geometric check-interval backoff in
     ``run_until``: the interval between stop-predicate evaluations starts at

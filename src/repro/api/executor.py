@@ -26,7 +26,7 @@ seed-for-seed identical to running each batch alone.
 
 Workers re-resolve the protocol spec *by name* from
 :mod:`repro.api.registry`, so nothing protocol-specific (factories, stop
-predicates, oracle simulations) ever crosses the process boundary; the shared
+predicates, oracle factories) ever crosses the process boundary; the shared
 :class:`ExperimentConfig` of each batch crosses it once per worker (a pool
 initializer argument), not once per trial.  Specs registered at import time
 are therefore visible in every worker; specs registered dynamically at
@@ -107,9 +107,9 @@ class TrialResult:
     steps: int
     converged: bool
     wall_time: float
-    #: Which engine actually executed the trial ("step" or "batched") —
-    #: observability for the auto engine's tier choice.  All engines
-    #: produce identical steps/converged for the same seeds.
+    #: Which engine actually executed the trial ("step" or "batched";
+    #: ``auto`` resolves to "batched").  Both engines produce identical
+    #: steps/converged for the same seeds.
     engine: str = "step"
     #: Display name of the protocol instance that ran.  The worker builds
     #: the protocol anyway, so reporting the name here lets aggregators
@@ -182,10 +182,10 @@ def execute_trial(task: TrialTask) -> TrialResult:
     """Run one trial to its stop predicate (serial path and worker entry point).
 
     The engine comes from ``task.config.engine``: ``"auto"`` runs the
-    batched engine's lazy table unless the spec needs the step engine (see
-    :meth:`repro.api.registry.ProtocolSpec.build_simulation`).  Either way
-    the trial's random streams — and therefore its step count and outcome —
-    are bit-identical.
+    batched engine's lazy table (see
+    :meth:`repro.api.registry.ProtocolSpec.build_simulation`).  On either
+    engine the trial's random streams — and therefore its step count and
+    outcome — are bit-identical.
     """
     from repro.api.registry import get_spec
 
@@ -622,7 +622,7 @@ def validate_batch(request: BatchRequest) -> str:
     a ``KeyError``, a bad engine still a ``ValueError``); multiple
     problems are folded into one ``ValueError`` listing each.
     """
-    from repro.api.registry import get_spec
+    from repro.api.registry import get_spec, resolve_engine
     from repro.topology.registry import validate_topology
 
     # Without a known simulated spec nothing downstream is checkable, so
@@ -643,7 +643,7 @@ def validate_batch(request: BatchRequest) -> str:
         except (ValueError, KeyError) as error:
             problems.append(error)
 
-    attempt(lambda: spec.resolve_engine(config.engine))
+    attempt(lambda: resolve_engine(config.engine))
     attempt(lambda: spec.require_supported(n))
 
     def check_topology() -> None:

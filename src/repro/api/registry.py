@@ -2,7 +2,7 @@
 
 A :class:`ProtocolSpec` names the five ingredients of a run once: a
 protocol factory, a population, an initial-configuration family, a stop
-predicate, and (for the oracle baseline) a custom simulation.
+predicate, and (for the oracle baseline) an oracle factory.
 :func:`run_spec` then runs *any* registered protocol with one generic code
 path, and the CLI's ``run``/``list`` commands, the fluent
 :mod:`repro.api.builder`, and the parallel :mod:`repro.api.executor` all
@@ -28,21 +28,14 @@ import inspect
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.convergence import (
-    ConvergenceResult,
-    default_simulation_factory,
-)
+from repro.analysis.convergence import ConvergenceResult
 from repro.api.config import ExperimentConfig
 from repro.api.executor import BatchRequest, TrialResult, batch_tasks, run_trials
 from repro.core.configuration import Configuration, random_configuration
-from repro.core.fast_simulator import (
-    ENGINES,
-    BatchedSimulation,
-    batched_simulation_factory,
-)
+from repro.core.fast_simulator import ENGINES, BatchedSimulation
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource
-from repro.core.simulator import Simulation
+from repro.core.simulator import Oracle, Simulation
 from repro.topology.graph import Population
 from repro.topology.registry import (
     DEFAULT_TOPOLOGY,
@@ -60,10 +53,8 @@ ConfigurationFamily = Callable[[Protocol, int, RandomSource], Configuration]
 #: parameter) when convergence is topology-dependent; see
 #: :meth:`ProtocolSpec.build_stop_predicate`.
 PredicateFactory = Callable[..., Callable[[Sequence], bool]]
-#: Builds a simulation (hook for oracle-augmented executions).
-SimulationFactory = Callable[
-    [Protocol, Population, Configuration, RandomSource], Simulation
-]
+#: Builds a fresh oracle for one simulation of the population.
+OracleFactory = Callable[[Population], Oracle]
 #: Evaluates an analytic (non-simulable) model at one population size.
 AnalyticModel = Callable[[int, ExperimentConfig], Dict[str, object]]
 
@@ -120,7 +111,10 @@ class ProtocolSpec:
     families: Mapping[str, ConfigurationFamily] = field(default_factory=dict)
     default_family: str = "adversarial"
     stop_predicate: Optional[PredicateFactory] = None
-    simulation_factory: SimulationFactory = default_simulation_factory
+    #: Builds the oracle both engines consult (see
+    #: :class:`~repro.core.simulator.Oracle`); ``None`` for specs whose
+    #: behaviour is the transition function alone.
+    oracle: Optional[OracleFactory] = None
     #: Topology names (see :mod:`repro.topology.registry`) this protocol is
     #: defined on; ``None`` means any registered topology.  Protocols whose
     #: correctness argument needs the ring (``ppl``, ``yokota2021``) pin
@@ -134,12 +128,6 @@ class ProtocolSpec:
     rng_label: Optional[str] = None
     analytic_model: Optional[AnalyticModel] = None
     reference: str = ""
-    #: Engine policy for this protocol: ``"auto"`` (the batched engine's
-    #: lazily filled table), ``"step"`` (the protocol needs the step engine
-    #: — e.g. an oracle-augmented simulation that inspects the global
-    #: configuration every step), or ``"batched"`` (that tier must apply;
-    #: failure is an error rather than a silent fallback).
-    simulation_mode: str = "auto"
     #: Model-checking policy (see :class:`CheckPolicy`); ``None`` means
     #: the checker's defaults — every claim checked on every supported
     #: topology.
@@ -148,11 +136,6 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("ProtocolSpec.name must be non-empty")
-        if self.simulation_mode not in ENGINES:
-            raise ValueError(
-                f"spec {self.name!r}: simulation_mode must be one of {ENGINES}, "
-                f"got {self.simulation_mode!r}"
-            )
         if self.analytic_model is None:
             if self.factory is None or self.stop_predicate is None:
                 raise ValueError(
@@ -305,39 +288,6 @@ class ProtocolSpec:
             return self.stop_predicate(protocol, population)
         return self.stop_predicate(protocol)
 
-    @property
-    def requires_step_engine(self) -> bool:
-        """True when this spec cannot run on the batched engine at all.
-
-        Either the spec says so explicitly (``simulation_mode="step"``) or it
-        installs a custom simulation factory (e.g. the oracle-augmented
-        Fischer-Jiang simulation) whose per-step behaviour a transition table
-        cannot reproduce.
-        """
-        return (self.simulation_mode == "step"
-                or self.simulation_factory is not default_simulation_factory)
-
-    def resolve_engine(self, engine: str = "auto") -> str:
-        """Combine a requested engine with this spec's policy.
-
-        An explicit ``"step"`` request always wins; ``"auto"`` defers to the
-        spec's ``simulation_mode``; ``"batched"`` is rejected for specs that
-        require the step engine (running them through a table would
-        silently change their semantics, not just their speed) — failing
-        fast here, before any trial runs.
-        """
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        mode = self.simulation_mode if engine == "auto" else engine
-        if self.requires_step_engine:
-            if mode == "batched":
-                raise ValueError(
-                    f"protocol {self.name!r} requires the step engine "
-                    f"(custom simulation semantics); --engine {mode} does not apply"
-                )
-            return "step"
-        return mode
-
     def build_simulation(self, protocol: Protocol, population: Population,
                          initial: Configuration, rng: RandomSource,
                          engine: str = "auto",
@@ -345,36 +295,34 @@ class ProtocolSpec:
                          ) -> "Simulation | BatchedSimulation":
         """Build the simulation for one trial on the resolved engine.
 
-        ``auto`` runs every spec that does not need the step engine on the
-        batched engine's lazily filled table.  Both engine factories consume
-        exactly one ``rng.randint`` in the same position, so the random
-        streams — and therefore every trial result — are bit-identical
-        whichever engine ends up running.
+        ``auto`` runs every spec on the batched engine's lazily filled
+        table.  A spec's ``oracle`` is built fresh for the population and
+        handed to whichever engine runs; both consult it at the same steps.
+        Both engines draw their seed as exactly one ``rng.randint`` in the
+        same position, so the random streams — and therefore every trial
+        result — are bit-identical whichever engine ends up running.
 
         ``scheduler`` (an explicit :class:`~repro.core.scheduler.Scheduler`,
         e.g. the scenario runtime's biased-arc scheduler) replaces the
         engines' internal uniformly random drawing.  In scheduler mode *no*
-        engine consumes a draw from ``rng`` — consistently across tiers, so
-        cross-engine identity holds here too — and specs with custom
-        simulation factories are rejected: an oracle simulation constructs
-        its own scheduler, so the request could not be honored.
+        engine consumes a draw from ``rng`` — consistently across engines,
+        so cross-engine identity holds here too.
         """
-        mode = self.resolve_engine(engine)
-        if scheduler is not None and (
-                self.simulation_factory is not default_simulation_factory):
-            raise ValueError(
-                f"protocol {self.name!r} runs a custom simulation that owns "
-                "its scheduler; an explicit scheduler does not apply"
-            )
-        if mode == "step":
-            if scheduler is not None:
-                return Simulation(protocol, population, initial,
-                                  scheduler=scheduler)
-            return self.simulation_factory(protocol, population, initial, rng)
+        engine_class = Simulation if resolve_engine(engine) == "step" else BatchedSimulation
+        oracle = self.oracle(population) if self.oracle is not None else None
         if scheduler is not None:
-            return BatchedSimulation(protocol, population, initial,
-                                     scheduler=scheduler)
-        return batched_simulation_factory(protocol, population, initial, rng)
+            return engine_class(protocol, population, initial,
+                                scheduler=scheduler, oracle=oracle)
+        return engine_class(protocol, population, initial,
+                            rng=rng.randint(0, 2 ** 31 - 1), oracle=oracle)
+
+
+def resolve_engine(engine: str = "auto") -> str:
+    """The engine a request runs on: ``"step"`` when asked for, else the
+    batched engine's table, which runs every simulated spec."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    return "step" if engine == "step" else "batched"
 
 
 # ---------------------------------------------------------------------- #
@@ -438,8 +386,8 @@ def run_spec(
     until the spec's stop predicate holds.  ``workers`` > 1 fans the trials
     out over processes with identical results (see :mod:`repro.api.executor`).
     ``engine`` overrides ``config.engine`` (default ``"auto"``: the lazily
-    filled batched table, or the step engine for specs that need it — trial
-    outcomes are bit-identical either way).
+    filled batched table; trial outcomes are bit-identical on the step
+    engine).
     ``store`` (a :class:`repro.store.ResultsStore`) serves cached trials
     from disk and persists fresh ones, again with bit-identical results.
     """
@@ -567,14 +515,10 @@ def _fischer_jiang_factory(n: int, config: ExperimentConfig):
     return FischerJiangProtocol()
 
 
-def _oracle_simulation(protocol, population, initial, rng):
-    from repro.protocols.baselines.fischer_jiang import OracleOmega, OracleSimulation
+def _fischer_jiang_oracle(population: Population):
+    from repro.protocols.baselines.fischer_jiang import OracleOmega
 
-    return OracleSimulation(
-        protocol, population, initial,
-        oracle=OracleOmega(report_interval=population.size),
-        rng=rng.randint(0, 2 ** 31 - 1),
-    )
+    return OracleOmega(report_interval=population.size)
 
 
 def _angluin_spec(k: int, name: str) -> ProtocolSpec:
@@ -677,24 +621,21 @@ def _register_builtin_specs() -> None:
         families={"adversarial": _random_family, "random": _random_family,
                   "packed-row": _packed_row_family},
         stop_predicate=_stable_predicate,
-        simulation_factory=_oracle_simulation,
-        # The oracle inspects the global configuration every step — semantics
-        # a pairwise transition table cannot express, so the batched engine
-        # never applies (the raw protocol still encodes; see the benchmark).
-        simulation_mode="step",
+        # The oracle inspects the global configuration every n steps.
+        oracle=_fischer_jiang_oracle,
         # The oracle/bullet machinery is topology-agnostic (the original
         # paper states the oracle result for general graphs), so every
         # registered topology is accepted.
         rng_label="fj",
         reference="[15] Fischer, Jiang",
         # Convergence is driven by the oracle's global eventually-correct
-        # reports, which live in OracleSimulation, not in the pairwise
-        # transition relation — the configuration graph of the raw tables
-        # would verify a different protocol than the one that runs.
+        # reports, which the engines apply outside the pairwise transition
+        # relation — the configuration graph of the raw tables would verify
+        # a different protocol than the one that runs.
         check=CheckPolicy(skip_reason=(
-            "convergence depends on the eventual leader-detector oracle "
-            "inside OracleSimulation, which is outside the pairwise "
-            "transition relation the checker enumerates")),
+            "convergence depends on the eventual leader-detector oracle, "
+            "which the engines apply outside the pairwise transition "
+            "relation the checker enumerates")),
     ))
     register(_angluin_spec(2, "angluin-modk"))
     register(ProtocolSpec(

@@ -77,16 +77,11 @@ def _declared_bound(protocol) -> Optional[int]:
 
 def _build_encoder(spec: ProtocolSpec, n: int, config: ExperimentConfig,
                    max_states: int) -> Tuple[object, StateEncoder]:
-    """Protocol + coverage-seeded encoder for one population size.
-
-    ``use_declared_bound=False``: the check wants the *reachable* count
-    even when the declared bound is loose (that comparison is the hygiene
-    check), so only actual enumeration overflow aborts.
-    """
+    """Protocol + coverage-seeded encoder for one population size."""
     protocol = spec.build_protocol(n, config)
     encoder = StateEncoder.build(
         protocol, coverage_seeds(protocol, max_states=max_states),
-        max_states=max_states, use_declared_bound=False)
+        max_states=max_states)
     return protocol, encoder
 
 
@@ -96,7 +91,7 @@ def _hygiene(protocol, encoder: StateEncoder,
 
     ``exceeds_declared_bound`` is the one *violation* here: more reachable
     states than ``state_space_size()`` declares means transitions escape
-    the declared bound (the encoder's declared-bound precheck would lie).
+    the declared bound.
     ``transient_codes`` — states no transition ever produces, reachable
     only as initial conditions — and the canonical closure size are
     informational.
@@ -105,8 +100,7 @@ def _hygiene(protocol, encoder: StateEncoder,
     produced = set(initiator_out) | set(responder_out)
     transient = [code for code in range(encoder.num_states)
                  if code not in produced]
-    canonical = StateEncoder.build(protocol, max_states=max_states,
-                                   use_declared_bound=False)
+    canonical = StateEncoder.build(protocol, max_states=max_states)
     declared = _declared_bound(protocol)
     return {
         "num_states": encoder.num_states,

@@ -197,8 +197,7 @@ def _quant_point(spec: ProtocolSpec, policy: CheckPolicy, topology: str,
         seeds = list(coverage_seeds(protocol,
                                     max_states=policy.max_states))
         encoder = StateEncoder.build(
-            protocol, seeds + start_states, max_states=policy.max_states,
-            use_declared_bound=False)
+            protocol, seeds + start_states, max_states=policy.max_states)
         budget_nodes = (reduction.orbit_count(encoder.num_states)
                         if reduction is not None
                         else encoder.num_states ** n)

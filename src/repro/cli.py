@@ -159,9 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=2023, help="master random seed")
     sweep.add_argument("--engine", choices=ENGINES, default="auto",
                        help="simulation engine: auto runs the batched engine's "
-                            "lazily filled transition table, and the step loop "
-                            "only for oracle specs; results are bit-identical "
-                            "on both engines (default: auto)")
+                            "lazily filled transition table; results are "
+                            "bit-identical on both engines (default: auto)")
     sweep.add_argument("--check-backoff", action="store_true",
                        help="double the stop-predicate check interval after every "
                             "unsatisfied check (geometric backoff, capped), trading "
@@ -578,10 +577,6 @@ def _cmd_run(args: argparse.Namespace) -> CommandOutput:
                 spec.require_family(args.family)
             except KeyError as error:
                 raise CommandError(error.args[0]) from None
-        try:
-            spec.resolve_engine(args.engine)
-        except ValueError as error:
-            raise CommandError(str(error)) from None
         try:
             spec.require_topology(config.topology)
         except ValueError as error:

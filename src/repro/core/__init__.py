@@ -17,11 +17,7 @@ from repro.core.errors import (
     StateSpaceError,
     TopologyError,
 )
-from repro.core.fast_simulator import (
-    ENGINES,
-    BatchedSimulation,
-    batched_simulation_factory,
-)
+from repro.core.fast_simulator import ENGINES, BatchedSimulation
 from repro.core.metrics import LeaderTrajectory, StepMetrics
 from repro.core.protocol import (
     FOLLOWER_OUTPUT,
@@ -44,7 +40,7 @@ from repro.core.scheduler import (
     seq_r,
     token_round_trip,
 )
-from repro.core.simulator import RunResult, Simulation
+from repro.core.simulator import Oracle, RunResult, Simulation
 
 __all__ = [
     "BatchedSimulation",
@@ -63,6 +59,7 @@ __all__ = [
     "LEADER_OUTPUT",
     "LeaderElectionProtocol",
     "LeaderTrajectory",
+    "Oracle",
     "Protocol",
     "RandomSource",
     "ReproError",
@@ -77,7 +74,6 @@ __all__ = [
     "TopologyError",
     "TraceRecorder",
     "UniformRandomScheduler",
-    "batched_simulation_factory",
     "concat",
     "configuration_from_factory",
     "ensure_source",

@@ -14,12 +14,8 @@ The enumerate-or-raise contract
 -------------------------------
 ``StateEncoder.build`` either returns a *complete* table — every state
 reachable from the seeds is encoded, so a run driven by the table can never
-step outside it — or raises :class:`StateSpaceError`:
-
-* immediately, when the protocol's declared ``state_space_size()`` bound
-  already exceeds ``max_states`` (no enumeration work is wasted on protocols
-  like ``P_PL`` whose state space is super-polylogarithmic in practice);
-* during enumeration, when the closure grows past ``max_states``.
+step outside it — or raises :class:`StateSpaceError` when the closure grows
+past ``max_states``.
 """
 
 from __future__ import annotations
@@ -117,16 +113,13 @@ class StateEncoder(Generic[StateT]):
         protocol: Protocol[StateT],
         seeds: Sequence[StateT] = (),
         max_states: int = DEFAULT_MAX_STATES,
-        use_declared_bound: bool = True,
     ) -> "StateEncoder[StateT]":
         """Enumerate the closure of ``seeds`` under ``protocol.transition``.
 
         ``seeds`` defaults to ``protocol.canonical_states()`` when empty.
         Raises :class:`StateSpaceError` when the state space cannot be
         enumerated within ``max_states`` (see the module docstring for the
-        contract); ``use_declared_bound=False`` skips the fast pre-check
-        against ``protocol.state_space_size()`` and always attempts the
-        enumeration, for protocols whose declared bound is very loose.
+        contract).
         """
         if max_states < 1:
             raise InvalidParameterError(f"max_states must be >= 1, got {max_states}")
@@ -134,11 +127,6 @@ class StateEncoder(Generic[StateT]):
             bound = protocol.state_space_size()
         except NotImplementedError:
             bound = None
-        if use_declared_bound and bound is not None and bound > max_states:
-            raise StateSpaceError(
-                f"{protocol.name} declares up to {bound} states per agent, "
-                f"over the enumeration cap of {max_states}"
-            )
         seed_states = list(seeds) if seeds else list(protocol.canonical_states())
         if not seed_states:
             raise InvalidParameterError(

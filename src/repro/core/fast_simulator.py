@@ -17,6 +17,10 @@ and an observer loop per interaction, it
   the leader count incrementally, so metrics cost O(1) per step and
   ``leader_count()`` is O(1) instead of an O(n) scan.
 
+An :class:`~repro.core.simulator.Oracle` runs between blocks: every block
+ends at the latest at the oracle's next report, and the states it rewrites
+are re-coded, so the hot loop never sees it.
+
 The table memoizes a pure function, so when an entry is filled, and which
 code a state gets, cannot change a result.  Its memory is bounded by
 :data:`MAX_CODED_STATES`: once that many states have been coded since the
@@ -40,6 +44,7 @@ object per code, so no engine may mutate a state in place.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 
 from repro.core.configuration import Configuration
@@ -53,7 +58,7 @@ from repro.core.metrics import StepMetrics
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource, ensure_source
 from repro.core.scheduler import Scheduler
-from repro.core.simulator import RunResult, StatePredicate, resolve_check_cap
+from repro.core.simulator import Oracle, RunResult, StatePredicate, resolve_check_cap
 from repro.topology.graph import Population
 
 StateT = TypeVar("StateT")
@@ -80,9 +85,10 @@ class BatchedSimulation(Generic[StateT]):
     Parameters mirror :class:`~repro.core.simulator.Simulation`: pass either
     a ``scheduler`` (any :class:`Scheduler`, e.g. a ``SequenceScheduler`` for
     replay/cross-checks) or an ``rng`` seed/source for the built-in uniformly
-    random drawing.  States must be hashable or dataclasses.  Execution runs
-    in blocks of at most ``_MAX_BLOCK`` interactions, with stop predicates
-    evaluated on the zero-copy ``_view()``.
+    random drawing, and optionally an ``oracle``.  States must be hashable or
+    dataclasses.  Execution runs in blocks of at most ``_MAX_BLOCK``
+    interactions, with stop predicates evaluated on the zero-copy
+    ``_view()``.
     """
 
     #: The engine name trial results report (as ``Simulation.tier``).
@@ -95,6 +101,7 @@ class BatchedSimulation(Generic[StateT]):
         initial: Configuration[StateT],
         scheduler: Optional[Scheduler] = None,
         rng: "RandomSource | int | None" = None,
+        oracle: Optional[Oracle] = None,
     ) -> None:
         if len(initial) != population.size:
             raise InvalidConfigurationError(
@@ -120,6 +127,7 @@ class BatchedSimulation(Generic[StateT]):
         self._rebuild_at = len(self._coded) + self._max_new  # repro: allow[REP006]
         self._scheduler = scheduler
         self._rng = None if scheduler is not None else ensure_source(rng)
+        self._oracle = oracle
         self._num_arcs = population.num_arcs  # repro: allow[REP006]
         # Bits per arc draw: randrange(num_arcs) draws this many bits until
         # the value falls below num_arcs.
@@ -218,11 +226,12 @@ class BatchedSimulation(Generic[StateT]):
         """Capture the full execution state (same contract as ``Simulation``).
 
         Agents are captured as their (never mutated) states, not as codes,
-        which a rebuild renumbers.
+        which a rebuild renumbers; the oracle is deep-copied.
         """
         coded = self._coded
         return {
             "states": [coded[code] for code in self._codes],
+            "oracle": copy.deepcopy(self._oracle),
             "stream": (self._rng.getstate() if self._rng is not None
                        else self._scheduler.getstate()),
             "total_steps": self._total_steps,
@@ -236,6 +245,7 @@ class BatchedSimulation(Generic[StateT]):
         self._codes = [self._intern(state) for state in snapshot["states"]]
         if len(self._coded) >= self._rebuild_at:
             self._rebuild()  # keeps every code below the stride
+        self._oracle = copy.deepcopy(snapshot["oracle"])
         if self._rng is not None:
             self._rng.setstate(snapshot["stream"])
         else:
@@ -296,17 +306,35 @@ class BatchedSimulation(Generic[StateT]):
     # Execution
     # ------------------------------------------------------------------ #
     def _advance_chunked(self, count: int) -> None:
-        """Execute ``count`` interactions in block-bounded chunks."""
+        """Execute ``count`` interactions in block-bounded chunks, each
+        ending at the latest at the oracle's next report."""
+        oracle = self._oracle
         remaining = count
         while remaining > 0:
             chunk = min(remaining, _MAX_BLOCK)
+            if oracle is not None:
+                chunk = min(chunk, oracle.report_interval
+                            - self._total_steps % oracle.report_interval)
             self._advance(chunk)
             remaining -= chunk
+            if oracle is not None and self._total_steps % oracle.report_interval == 0:
+                self._consult_oracle()
+
+    def _consult_oracle(self) -> None:
+        """Show the oracle the configuration and re-code what it rewrote."""
+        view = self._view()
+        if self._oracle.observe_and_report(view):
+            self._codes = [self._intern(state) for state in view]
+            if len(self._coded) >= self._rebuild_at:
+                self._rebuild()  # keeps every code below the stride
+            flags = self._leader_flags
+            self._leaders = sum(flags[code] for code in self._codes)
 
     def step(self) -> bool:
-        """Execute one interaction; return True when some state changed."""
+        """Execute one interaction; return True when the transition changed
+        some state (as :meth:`Simulation.step`)."""
         before = self._effective_steps
-        self._advance(1)
+        self._advance_chunked(1)
         return self._effective_steps != before
 
     def run(self, steps: int) -> Configuration[StateT]:
@@ -325,7 +353,7 @@ class BatchedSimulation(Generic[StateT]):
             )
         try:
             while True:
-                self._advance(_MAX_BLOCK)
+                self._advance_chunked(_MAX_BLOCK)
         except ScheduleExhaustedError:
             pass
         return self.configuration()
@@ -429,21 +457,3 @@ class BatchedSimulation(Generic[StateT]):
             f"<{type(self).__name__} protocol={self._protocol.name!r} "
             f"population={self._population.name!r} steps={self._total_steps}>"
         )
-
-
-def batched_simulation_factory(
-    protocol: Protocol[StateT],
-    population: Population,
-    initial: Configuration[StateT],
-    rng: RandomSource,
-) -> BatchedSimulation[StateT]:
-    """Batched counterpart of ``default_simulation_factory``.
-
-    Consumes exactly one ``rng.randint`` draw — the same draw, in the same
-    position, as the step-engine factory — so switching engines never shifts
-    any other random stream and per-trial results stay bit-identical.
-    """
-    return BatchedSimulation(
-        protocol, population, initial,
-        rng=rng.randint(0, 2 ** 31 - 1),
-    )

@@ -137,6 +137,10 @@ class LeaderElectionProtocol(Protocol[StateT]):
     def output(self, state: StateT) -> str:
         return LEADER_OUTPUT if self.leader_flag(state) else FOLLOWER_OUTPUT
 
+    def is_leader(self, state: StateT) -> bool:
+        """The leader flag itself, without building the output symbol."""
+        return bool(self.leader_flag(state))
+
     def count_leaders(self, states: Iterable[StateT]) -> int:
         """Number of leader agents among ``states``."""
         return sum(1 for state in states if self.leader_flag(state))

@@ -7,14 +7,18 @@ function to the arc the scheduler picks at each step (Section 2).
 speed (the convergence experiments run millions of interactions) and exposes
 immutable :class:`~repro.core.configuration.Configuration` snapshots on
 demand.  Periodic predicates ("has the population reached a safe
-configuration?") are evaluated through :meth:`Simulation.run_until`.
+configuration?") are evaluated through :meth:`Simulation.run_until`.  An
+optional :class:`Oracle` inspects, and may rewrite, the configuration at a
+fixed cadence: the model of components outside the pairwise transition
+function, such as Fischer–Jiang's eventual leader detector.
 """
 
 from __future__ import annotations
 
 import copy
+import typing
 from dataclasses import dataclass
-from typing import Callable, Generic, List, Optional, Sequence, TypeVar
+from typing import Callable, Generic, List, MutableSequence, Optional, Sequence, TypeVar
 
 from repro.core.configuration import Configuration
 from repro.core.errors import (
@@ -34,6 +38,23 @@ StateT = TypeVar("StateT")
 StatePredicate = Callable[[Sequence[StateT]], bool]
 #: Observer invoked after every interaction: (step, initiator, responder, states).
 InteractionObserver = Callable[[int, int, int, Sequence[StateT]], None]
+
+
+class Oracle(typing.Protocol):
+    """A simulation-level component outside the transition function.
+
+    Both engines call :meth:`observe_and_report` on the agents' states after
+    every ``report_interval``-th step (counted from the simulation's start),
+    before any stop-predicate check; e.g.
+    :class:`~repro.protocols.baselines.fischer_jiang.OracleOmega`.
+    """
+
+    report_interval: int
+
+    def observe_and_report(self, states: MutableSequence) -> bool:
+        """Inspect ``states``; write replacement states into it (never
+        mutating a state object) and return True when it did."""
+
 
 #: Default ceiling of the geometric check-interval backoff (see
 #: :func:`resolve_check_cap`): long pre-convergence phases stop paying a
@@ -98,6 +119,7 @@ class Simulation(Generic[StateT]):
         initial: Configuration[StateT],
         scheduler: Optional[Scheduler] = None,
         rng: "int | None" = None,
+        oracle: Optional[Oracle] = None,
     ) -> None:
         if len(initial) != population.size:
             raise InvalidConfigurationError(
@@ -112,6 +134,7 @@ class Simulation(Generic[StateT]):
         self._states: List[StateT] = initial.states()
         self._scheduler = scheduler or UniformRandomScheduler(population, rng)
         self._metrics = StepMetrics()
+        self._oracle = oracle
         self._observers: List[InteractionObserver] = []  # repro: allow[REP006]
         self._total_steps = 0
 
@@ -179,13 +202,15 @@ class Simulation(Generic[StateT]):
         :meth:`run_until` calls resume where the previous segment stopped,
         this is what lets phased scenarios replay any segment on any engine.
 
-        States are deep-copied in both directions: mutable state objects
-        (the baselines' dataclass states) could be updated in place, so a
-        shallow capture could be silently corrupted by further execution.
+        States and the oracle (whose memory is run state) are deep-copied
+        in both directions: mutable state objects (the baselines' dataclass
+        states) could be updated in place, so a shallow capture could be
+        silently corrupted by further execution.
         """
         metrics = self._metrics
         return {
             "states": copy.deepcopy(self._states),
+            "oracle": copy.deepcopy(self._oracle),
             "scheduler": self._scheduler.getstate(),
             "total_steps": self._total_steps,
             "metrics": (metrics.steps, dict(metrics.interactions_per_agent),
@@ -195,6 +220,7 @@ class Simulation(Generic[StateT]):
     def restore(self, snapshot: dict) -> None:
         """Rewind to a state captured by :meth:`snapshot` (same simulation)."""
         self._states = copy.deepcopy(snapshot["states"])
+        self._oracle = copy.deepcopy(snapshot["oracle"])
         self._scheduler.setstate(snapshot["scheduler"])
         self._total_steps = snapshot["total_steps"]
         steps, interactions, effective = snapshot["metrics"]
@@ -208,7 +234,9 @@ class Simulation(Generic[StateT]):
     # Execution
     # ------------------------------------------------------------------ #
     def step(self) -> bool:
-        """Execute one interaction; return True when some state changed."""
+        """Execute one interaction; return True when the transition changed
+        some state (the oracle, consulted after every ``report_interval``-th
+        step, does not count)."""
         initiator, responder = self._scheduler.next_arc()
         before_initiator = self._states[initiator]
         before_responder = self._states[responder]
@@ -222,6 +250,9 @@ class Simulation(Generic[StateT]):
         self._metrics.record(initiator, responder, changed)
         for observer in self._observers:
             observer(self._total_steps, initiator, responder, self._states)
+        oracle = self._oracle
+        if oracle is not None and self._total_steps % oracle.report_interval == 0:
+            oracle.observe_and_report(self._states)
         return changed
 
     def run(self, steps: int) -> Configuration[StateT]:

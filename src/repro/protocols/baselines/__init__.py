@@ -23,7 +23,6 @@ from repro.protocols.baselines.fischer_jiang import (
     FischerJiangProtocol,
     FischerJiangState,
     OracleOmega,
-    OracleSimulation,
 )
 from repro.protocols.baselines.thue_morse import is_cube_free, thue_morse_bit, thue_morse_prefix
 from repro.protocols.baselines.yokota2021 import Yokota2021Protocol, YokotaState
@@ -35,7 +34,6 @@ __all__ = [
     "FischerJiangProtocol",
     "FischerJiangState",
     "OracleOmega",
-    "OracleSimulation",
     "Yokota2021Protocol",
     "YokotaState",
     "cube_positions",

@@ -12,7 +12,10 @@ function.  We reproduce it as :class:`OracleOmega`, a simulation-level
 component that periodically inspects the global configuration and, when no
 leader exists, raises an ``absence`` flag at every agent (optionally after a
 configurable delay to model the "eventually" in the oracle's guarantee).
-:class:`OracleSimulation` wires the oracle into the standard simulation loop.
+Both engines consult it every ``report_interval`` steps when built with
+``oracle=`` (the ``fischer-jiang`` spec passes one with
+``report_interval = n``): the step loop after the step, the table engine
+between blocks that end there.
 
 The agent-level protocol is the classic bullets-and-shields war *without* the
 bullet-absence signal of [28] (that refinement is exactly what [28] adds to
@@ -25,16 +28,12 @@ oracle flag is raised becomes a leader at its next interaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, MutableSequence, Optional, Sequence, Tuple
+from typing import Iterable, MutableSequence, Sequence, Tuple
 
-from repro.core.configuration import Configuration
 from repro.core.errors import InvalidParameterError, InvalidStateError
 from repro.core.protocol import LeaderElectionProtocol, require_in_range
 from repro.core.rng import RandomSource
-from repro.core.scheduler import Scheduler
-from repro.core.simulator import Simulation
 from repro.protocols.ppl.state import BULLET_DUMMY, BULLET_LIVE, BULLET_NONE
-from repro.topology.graph import Population
 
 
 @dataclass(eq=True)
@@ -184,25 +183,3 @@ class OracleOmega:
             flagged.absence = 1
             states[agent] = flagged
         return True
-
-
-class OracleSimulation(Simulation[FischerJiangState]):
-    """A :class:`Simulation` that consults :class:`OracleOmega` at a fixed cadence."""
-
-    def __init__(
-        self,
-        protocol: FischerJiangProtocol,
-        population: Population,
-        initial: Configuration[FischerJiangState],
-        oracle: Optional[OracleOmega] = None,
-        scheduler: Optional[Scheduler] = None,
-        rng: "int | None" = None,
-    ) -> None:
-        super().__init__(protocol, population, initial, scheduler=scheduler, rng=rng)
-        self.oracle = oracle or OracleOmega(report_interval=population.size)
-
-    def step(self) -> bool:
-        changed = super().step()
-        if self.steps % self.oracle.report_interval == 0:
-            self.oracle.observe_and_report(self.states())
-        return changed

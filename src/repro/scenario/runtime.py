@@ -153,13 +153,10 @@ def validate_scenario(scenario: CanonicalScenario, spec, n: int,
                       config) -> None:
     """Raise exactly when :func:`execute_scenario` would fail, without running.
 
-    Checks every phase's perturbation name and parameters, tracks the
+    Checks every phase's perturbation name and parameters, and tracks the
     population size across churn (the topology must re-wire and the spec
-    must support each intermediate size), and rejects ``bias`` for specs
-    with custom simulation factories (an oracle simulation constructs its
-    own scheduler, so arc weighting could not be honored).
+    must support each intermediate size).
     """
-    from repro.analysis.convergence import default_simulation_factory
     from repro.topology.registry import validate_topology
 
     size = n
@@ -173,13 +170,6 @@ def validate_scenario(scenario: CanonicalScenario, spec, n: int,
             perturbation.validate(size, phase.kwargs())
         except ScenarioError as error:
             raise ScenarioError(f"scenario phase {index}: {error}") from None
-        if (phase.perturbation == "bias"
-                and spec.simulation_factory is not default_simulation_factory):
-            raise ScenarioError(
-                f"scenario phase {index}: protocol {spec.name!r} runs a "
-                "custom simulation that owns its scheduler; the bias "
-                "perturbation does not apply"
-            )
         if phase.perturbation == "churn":
             params = phase.kwargs()
             size = size - params.get("leave", 1) + params.get("join", 1)

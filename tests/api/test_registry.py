@@ -19,6 +19,7 @@ from repro.api import (
 )
 from repro.core.configuration import random_configuration
 from repro.core.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT, Protocol
+from repro.core.rng import RandomSource
 
 TINY = ExperimentConfig(sizes=(8,), trials=1, max_steps=600_000,
                         check_interval=32, kappa_factor=4, seed=99)
@@ -89,6 +90,19 @@ def test_every_registered_spec_round_trips():
         else:
             model = evaluate_analytic(spec.name, n, TINY)
             assert model["analytic"] is True
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in list_specs() if spec.is_simulated])
+def test_is_leader_agrees_with_the_output_symbol(name):
+    """The engines read ``is_leader``; the reports read ``output``."""
+    spec = get_spec(name)
+    n = next(size for size in range(8, 16) if spec.supports(size))
+    protocol = spec.build_protocol(n, TINY)
+    rng = RandomSource(5)
+    states = (list(protocol.canonical_states())
+              + [protocol.random_state(rng) for _ in range(200)])
+    for state in states:
+        assert protocol.is_leader(state) is (protocol.output(state) == LEADER_OUTPUT)
 
 
 def test_run_spec_rejects_analytic_specs():

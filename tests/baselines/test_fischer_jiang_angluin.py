@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.configuration import Configuration, random_configuration
 from repro.core.errors import InvalidParameterError
+from repro.core.fast_simulator import BatchedSimulation
 from repro.core.rng import RandomSource
 from repro.core.simulator import Simulation
 from repro.protocols.baselines.angluin_modk import AngluinModKProtocol, AngluinState
@@ -14,11 +15,13 @@ from repro.protocols.baselines.fischer_jiang import (
     FischerJiangProtocol,
     FischerJiangState,
     OracleOmega,
-    OracleSimulation,
 )
 from repro.topology.ring import DirectedRing
 
 N = 13
+
+#: Both engines take the oracle.
+ENGINES = [Simulation, BatchedSimulation]
 
 
 # ---------------------------------------------------------------------- #
@@ -33,12 +36,14 @@ def test_oracle_raises_absence_flags_only_when_leaderless():
     assert all(state.absence == 1 for state in leaderless)
 
 
-def test_oracle_never_rewrites_snapshots_or_the_callers_configuration():
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.tier)
+def test_oracle_never_rewrites_snapshots_or_the_callers_configuration(engine):
     """Raising the flags writes copies into the live list: an earlier
     snapshot, and the caller's initial configuration, keep their values."""
     protocol = FischerJiangProtocol()
     initial = Configuration([FischerJiangState.follower() for _ in range(6)])
-    simulation = OracleSimulation(protocol, DirectedRing(6), initial, rng=3)
+    simulation = engine(protocol, DirectedRing(6), initial, rng=3,
+                        oracle=OracleOmega(report_interval=6))
     simulation.run(5)
     snapshot = simulation.configuration()
     simulation.step()  # step 6: the oracle reports the leaderless ring
@@ -87,25 +92,27 @@ def test_fischer_jiang_transition_preserves_validity(seed):
     protocol.validate(new_right)
 
 
-def test_fischer_jiang_converges_with_oracle():
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.tier)
+def test_fischer_jiang_converges_with_oracle(engine):
     protocol = FischerJiangProtocol()
     ring = DirectedRing(N)
     for seed in (1, 2):
         start = random_configuration(protocol, N, RandomSource(seed))
-        simulation = OracleSimulation(protocol, ring, start,
-                                      oracle=OracleOmega(report_interval=N), rng=seed)
+        simulation = engine(protocol, ring, start,
+                            oracle=OracleOmega(report_interval=N), rng=seed)
         result = simulation.run_until(protocol.is_stable, max_steps=400_000,
                                       check_interval=16)
         assert result.satisfied
         assert protocol.count_leaders(simulation.states()) == 1
 
 
-def test_fischer_jiang_recovers_from_leaderless_start():
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.tier)
+def test_fischer_jiang_recovers_from_leaderless_start(engine):
     protocol = FischerJiangProtocol()
     ring = DirectedRing(N)
     start = Configuration([FischerJiangState.follower() for _ in range(N)])
-    simulation = OracleSimulation(protocol, ring, start,
-                                  oracle=OracleOmega(report_interval=N), rng=9)
+    simulation = engine(protocol, ring, start,
+                        oracle=OracleOmega(report_interval=N), rng=9)
     result = simulation.run_until(protocol.is_stable, max_steps=400_000, check_interval=16)
     assert result.satisfied
 

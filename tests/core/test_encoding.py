@@ -15,7 +15,6 @@ from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource
 from repro.protocols.baselines.angluin_modk import AngluinModKProtocol
 from repro.protocols.baselines.fischer_jiang import FischerJiangProtocol, FischerJiangState
-from repro.protocols.ppl import PPLProtocol
 
 
 def _fischer_jiang_encoder():
@@ -61,20 +60,11 @@ def test_encode_rejects_states_outside_the_enumerated_space():
         encoder.encode(foreign)
 
 
-def test_declared_bound_gate_rejects_large_state_protocols_immediately():
-    protocol = PPLProtocol.for_population(8, kappa_factor=4)
-    initial = random_configuration(protocol, 8, RandomSource(1))
-    with pytest.raises(StateSpaceError):
-        StateEncoder.build(protocol, initial.states())
-
-
 def test_enumeration_cap_stops_the_closure():
     protocol = FischerJiangProtocol()
     with pytest.raises(StateSpaceError):
-        StateEncoder.build(
-            protocol, list(protocol.canonical_states()),
-            max_states=2, use_declared_bound=False,
-        )
+        StateEncoder.build(protocol, list(protocol.canonical_states()),
+                           max_states=2)
 
 
 def test_enumeration_cap_error_names_the_state_and_the_declared_bound():
@@ -97,7 +87,7 @@ def test_enumeration_cap_error_names_the_state_and_the_declared_bound():
             return (0,)
 
     with pytest.raises(StateSpaceError) as excinfo:
-        StateEncoder.build(Growing(), max_states=3, use_declared_bound=False)
+        StateEncoder.build(Growing(), max_states=3)
     message = str(excinfo.value)
     # The diagnostic names the state that overflowed the cap and the
     # protocol's declared bound, so a mis-declared state_space_size() is
@@ -123,8 +113,7 @@ def test_enumeration_cap_error_without_a_declared_bound():
             return 0
 
     with pytest.raises(StateSpaceError, match="declares no finite state bound"):
-        StateEncoder.build(Unbounded(), seeds=(0,), max_states=2,
-                           use_declared_bound=False)
+        StateEncoder.build(Unbounded(), seeds=(0,), max_states=2)
 
 
 def test_canonical_states_are_the_default_seeds():

@@ -4,10 +4,11 @@ The contract that makes the batched engine safe to select automatically:
 driven by the same arc stream (or the same seed), :class:`BatchedSimulation`
 produces the same final configuration, step count, effective-step count,
 per-agent interaction counts, and leader count as :class:`Simulation` — for
-every registered simulated spec on every topology it supports.  The engine
-fills its transition table lazily, so specs whose state space cannot be
-enumerated (``ppl``, ``yokota2021`` from n=17) run on it too, and a table
-forced past its memory cap stays bit-identical.
+every registered simulated spec on every topology it supports, built
+through ``spec.build_simulation`` so that ``fischer-jiang`` carries its
+oracle.  The engine fills its transition table lazily, so specs whose state
+space cannot be enumerated (``ppl``, ``yokota2021`` from n=17) run on it
+too, and a table forced past its memory cap stays bit-identical.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ExperimentConfig, experiment, get_spec, list_specs, run_spec
+from repro.api.registry import resolve_engine
 from repro.core import fast_simulator
+from repro.core.configuration import Configuration
 from repro.core.errors import InvalidParameterError, ScheduleExhaustedError
 from repro.core.fast_simulator import ENGINES, BatchedSimulation
 from repro.core.rng import RandomSource
 from repro.core.scheduler import SequenceScheduler
 from repro.core.simulator import Simulation
-from repro.protocols.baselines.fischer_jiang import OracleSimulation
+from repro.protocols.baselines.fischer_jiang import FischerJiangState, OracleOmega
 from repro.topology.registry import topology_names, validate_topology
 
 #: Arc-stream length for the replay cross-checks: long enough to exercise
@@ -72,17 +75,26 @@ def _trial_ingredients(name: str, topology: str = "directed-ring", seed: int = 3
     return spec, protocol, population, initial
 
 
+def _both_engines(spec, protocol, population, initial, seed=0, arcs=None):
+    """The step and the batched simulation of one spec (with its oracle,
+    if any), drawing from ``seed`` or replaying ``arcs``."""
+    return [
+        spec.build_simulation(
+            protocol, population, initial, RandomSource(seed), engine=engine,
+            scheduler=SequenceScheduler(arcs) if arcs is not None else None)
+        for engine in ("step", "batched")
+    ]
+
+
 @pytest.mark.parametrize("name,topology", SPEC_TOPOLOGY_GRID)
 def test_batched_engine_is_bit_identical_on_the_same_arc_stream(name, topology):
     # No enumeration: large-state protocols (ppl) replay through the lazy
     # table exactly like the small ones.
-    _, protocol, population, initial = _trial_ingredients(name, topology)
+    spec, protocol, population, initial = _trial_ingredients(name, topology)
     rng = RandomSource(17)
     arcs = [population.sample_arc(rng) for _ in range(STREAM_LENGTH)]
-    step_sim = Simulation(protocol, population, initial,
-                          scheduler=SequenceScheduler(arcs))
-    batched = BatchedSimulation(protocol, population, initial,
-                                scheduler=SequenceScheduler(arcs))
+    step_sim, batched = _both_engines(spec, protocol, population, initial, arcs=arcs)
+    assert type(batched) is BatchedSimulation
     step_sim.run_sequence()
     batched.run_sequence()
 
@@ -97,13 +109,11 @@ def test_batched_engine_is_bit_identical_on_the_same_arc_stream(name, topology):
 def test_batched_engine_matches_step_engine_from_the_same_seed(name, topology):
     """The internal block drawing consumes the same randrange stream as
     UniformRandomScheduler, so equal seeds give equal executions."""
-    _, protocol, population, initial = _trial_ingredients(name, topology)
-    _assert_same_seed_runs_agree(protocol, population, initial)
+    _assert_same_seed_runs_agree(*_trial_ingredients(name, topology))
 
 
-def _assert_same_seed_runs_agree(protocol, population, initial) -> None:
-    step_sim = Simulation(protocol, population, initial, rng=123)
-    batched = BatchedSimulation(protocol, population, initial, rng=123)
+def _assert_same_seed_runs_agree(spec, protocol, population, initial) -> None:
+    step_sim, batched = _both_engines(spec, protocol, population, initial, seed=123)
     step_sim.run(7_500)
     batched.run(7_500)
     assert batched.states() == step_sim.states()
@@ -124,7 +134,7 @@ def test_batched_engine_matches_step_engine_from_the_same_seed_around_a_power_of
     assert population.num_arcs == n
     initial = spec.build_configuration(spec.default_family, protocol, n, RandomSource(3),
                                        population=population)
-    _assert_same_seed_runs_agree(protocol, population, initial)
+    _assert_same_seed_runs_agree(spec, protocol, population, initial)
 
 
 @pytest.mark.parametrize("name", ["ppl", "yokota2021"])
@@ -195,6 +205,110 @@ def test_table_forced_past_its_cap_stays_bit_identical(name, monkeypatch):
     assert batched.steps == reference.steps == STREAM_LENGTH
     assert batched.metrics == reference.metrics
     assert batched.leader_count() == reference.leader_count()
+
+
+def _all_followers(n: int) -> Configuration:
+    return Configuration([FischerJiangState.follower() for _ in range(n)])
+
+
+def test_oracle_runs_identically_on_both_engines_past_the_table_cap(monkeypatch):
+    """All-follower Fischer–Jiang: the oracle must seed the leaders.  With
+    the table rebuilt over and over, and a check interval that does not
+    divide the oracle's report interval n, both engines stop at the same
+    step in the same configuration."""
+    monkeypatch.setattr(fast_simulator, "MAX_CODED_STATES", 4)
+    rebuilds, reports = [], []
+    rebuild = BatchedSimulation._rebuild
+    report = OracleOmega.observe_and_report
+
+    def counted_rebuild(self):
+        rebuilds.append(self)
+        rebuild(self)
+
+    def counted_report(self, states):
+        fired = report(self, states)
+        reports.append(fired)
+        return fired
+
+    monkeypatch.setattr(BatchedSimulation, "_rebuild", counted_rebuild)
+    monkeypatch.setattr(OracleOmega, "observe_and_report", counted_report)
+    spec, protocol, population, _ = _trial_ingredients("fischer-jiang")
+    n = population.size
+    check_interval = 5
+    assert n % check_interval and check_interval % n
+    predicate = spec.build_stop_predicate(protocol, population)
+    runs = []
+    for simulation in _both_engines(spec, protocol, population, _all_followers(n), seed=3):
+        run = simulation.run_until(predicate, max_steps=400_000,
+                                   check_interval=check_interval)
+        runs.append((run.satisfied, run.steps, run.configuration.states(),
+                     simulation.metrics, simulation.leader_count()))
+    assert rebuilds and any(reports)
+    assert runs[0][0]
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("engine", ["step", "batched"])
+def test_snapshot_before_an_oracle_report_resumes_after_it(engine):
+    """A snapshot two steps before the oracle's first report, restored after
+    its second raised the flags, resumes exactly: the oracle's memory (a
+    patience of one report) is rewound too, or it would fire at the first."""
+    _, protocol, population, _ = _trial_ingredients("fischer-jiang")
+    n = population.size
+    initial = _all_followers(n)
+
+    def build():
+        simulation_class = Simulation if engine == "step" else BatchedSimulation
+        return simulation_class(protocol, population, initial, rng=11,
+                                oracle=OracleOmega(report_interval=n, patience=1))
+
+    reference = build()
+    reference.run(6 * n)
+    resumed = build()
+    resumed.run(n - 2)
+    saved = resumed.snapshot()
+    resumed.run(n + 2)
+    assert all(state.absence for state in resumed.states())  # reported at 2n
+    resumed.restore(saved)
+    assert not any(state.absence for state in resumed.states())
+    resumed.run(5 * n + 2)
+    assert resumed.states() == reference.states()
+    assert resumed.metrics == reference.metrics
+    assert resumed.leader_count() == reference.leader_count()
+
+
+class _Scrambler:
+    """A test oracle that gives every agent a fresh random state at each
+    report: many new codes at once, and leaders made and unmade."""
+
+    def __init__(self, protocol, report_interval: int) -> None:
+        self.report_interval = report_interval
+        self._protocol = protocol
+        self._rng = RandomSource(5)
+
+    def observe_and_report(self, states) -> bool:
+        for agent in range(len(states)):
+            states[agent] = self._protocol.random_state(self._rng)
+        return True
+
+
+@pytest.mark.parametrize("name", ["angluin-modk", "yokota2021"])
+def test_an_oracle_rewriting_every_agent_keeps_the_table_exact(name, monkeypatch):
+    """Past the table's cap, the re-coded agents stay below the stride and
+    the leader count follows the rewritten states."""
+    monkeypatch.setattr(fast_simulator, "MAX_CODED_STATES", 4)
+    _, protocol, population, initial = _trial_ingredients(name)
+    step_sim, batched = [
+        engine(protocol, population, initial, rng=7,
+               oracle=_Scrambler(protocol, report_interval=37))
+        for engine in (Simulation, BatchedSimulation)
+    ]
+    for _ in range(20):
+        step_sim.run(STREAM_LENGTH // 20)
+        batched.run(STREAM_LENGTH // 20)
+        assert batched.leader_count() == step_sim.leader_count()
+    assert batched.states() == step_sim.states()
+    assert batched.metrics == step_sim.metrics
 
 
 def test_run_until_semantics_match_the_step_engine():
@@ -356,27 +470,21 @@ def test_batched_engine_rejects_observers():
 # Engine selection through the spec / executor / builder layers
 # ---------------------------------------------------------------------- #
 def test_auto_engine_selection_per_spec():
-    cases = {
-        "angluin-modk": BatchedSimulation,
-        "ppl": BatchedSimulation,           # no enumeration needed
-        "fischer-jiang": OracleSimulation,  # custom factory: step engine
-    }
-    for name, expected_type in cases.items():
+    # No enumeration needed (ppl), and the oracle rides along (fischer-jiang).
+    for name in ("angluin-modk", "ppl", "fischer-jiang"):
         spec, protocol, population, initial = _trial_ingredients(name)
         simulation = spec.build_simulation(
             protocol, population, initial, RandomSource(1), engine="auto"
         )
-        assert type(simulation) is expected_type, name
+        assert type(simulation) is BatchedSimulation, name
 
 
 @pytest.mark.parametrize("name,topology", SPEC_TOPOLOGY_GRID)
-def test_auto_runs_the_table_unless_the_spec_needs_the_step_loop(name, topology):
-    """End to end through the builder: ``auto`` resolves per spec, never per
-    size or topology — the step loop for the oracle-backed spec, the batched
-    engine's table for every other — and its trials, budget misses included,
-    equal the step engine's."""
+def test_auto_runs_the_table_for_every_spec(name, topology):
+    """End to end through the builder: ``auto`` is the batched engine's
+    table for every spec, size and topology, and its trials, budget misses
+    included, equal the step engine's."""
     spec = get_spec(name)
-    expected = "step" if spec.requires_step_engine else "batched"
     n = _grid_size(spec, topology)
 
     def trials(engine):
@@ -384,29 +492,28 @@ def test_auto_runs_the_table_unless_the_spec_needs_the_step_loop(name, topology)
                 .max_steps(20_000).check_interval(1).engine(engine).run().trials)
 
     auto, step = trials("auto"), trials("step")
-    assert {trial.engine for trial in auto} == {expected}
+    assert {trial.engine for trial in auto} == {"batched"}
     assert [(trial.steps, trial.converged) for trial in auto] == \
         [(trial.steps, trial.converged) for trial in step]
 
 
 def test_forced_batched_engine_errors_are_loud():
-    # A state space that does not enumerate is no longer an error for the
-    # batched tier; custom simulation semantics and unknown names still are.
-    spec, protocol, population, initial = _trial_ingredients("ppl")
-    simulation = spec.build_simulation(protocol, population, initial,
-                                       RandomSource(1), engine="batched")
-    assert isinstance(simulation, BatchedSimulation)
-    fj_spec = get_spec("fischer-jiang")
+    # Neither a state space that does not enumerate (ppl) nor an oracle
+    # (fischer-jiang) keeps a spec off the batched engine; unknown names
+    # are errors.
+    for name in ("ppl", "fischer-jiang"):
+        spec, protocol, population, initial = _trial_ingredients(name)
+        simulation = spec.build_simulation(protocol, population, initial,
+                                           RandomSource(1), engine="batched")
+        assert isinstance(simulation, BatchedSimulation)
     with pytest.raises(ValueError):
-        fj_spec.resolve_engine("batched")
-    with pytest.raises(ValueError):
-        spec.resolve_engine("warp")
+        resolve_engine("warp")
 
 
 def test_the_engines_are_step_and_batched():
     assert ENGINES == ("auto", "step", "batched")
     with pytest.raises(ValueError, match="'auto', 'step', 'batched'"):
-        get_spec("angluin-modk").resolve_engine("numpy")
+        resolve_engine("numpy")
 
 
 def test_forced_step_engine_always_applies():
@@ -436,8 +543,9 @@ def test_builder_reports_the_engine_that_ran():
     fallback = (experiment("ppl").on_ring(8).trials(1)
                 .max_steps(400_000).engine("auto").run())
     assert {trial.engine for trial in fallback.trials} == {"batched"}
-    with pytest.raises(ValueError):
-        experiment("fischer-jiang").engine("batched")
+    oracle = (experiment("fischer-jiang").on_ring(8).trials(2)
+              .engine("batched").run())
+    assert {trial.engine for trial in oracle.trials} == {"batched"}
     with pytest.raises(ValueError):
         experiment("fischer-jiang").engine("numpy")
 

@@ -193,11 +193,31 @@ def test_validate_scenario_tracks_churn_sizes():
                           spec, 9, config)
 
 
-def test_validate_scenario_rejects_bias_on_custom_simulations():
-    spec = get_spec("fischer-jiang")
-    with pytest.raises(ScenarioError, match="custom simulation"):
-        validate_scenario(parse_scenario("bias-recover"), spec, 8,
-                          ExperimentConfig())
+def test_bias_scenario_on_the_oracle_spec_is_equal_on_both_engines(monkeypatch):
+    """The biased scheduler drives the oracle-backed spec like any other:
+    the oracle is consulted by step count, whoever draws the arcs.  Here
+    every agent is corrupted under the bias, and one re-convergence needs
+    the oracle."""
+    from repro.protocols.baselines.fischer_jiang import OracleOmega
+
+    reports = []
+    report = OracleOmega.observe_and_report
+
+    def counted(self, states):
+        reports.append(report(self, states))
+        return reports[-1]
+
+    monkeypatch.setattr(OracleOmega, "observe_and_report", counted)
+    validate_scenario(parse_scenario("bias-recover"), get_spec("fischer-jiang"),
+                      8, ExperimentConfig())
+    results = [experiment("fischer-jiang").on_ring(8).then_bias(weight=3)
+               .then_converge().then_corrupt(8).then_converge().trials(3)
+               .seed(23).check_interval(1).engine(engine).run()
+               for engine in ENGINES]
+    assert _phase_rows(results[1]) == _phase_rows(results[0])
+    assert all(trial.converged and trial.phases[1].perturbation == "bias"
+               for result in results for trial in result.trials)
+    assert reports.count(True) == 2  # once per engine
 
 
 def test_builder_validates_scenarios_eagerly():
@@ -206,15 +226,15 @@ def test_builder_validates_scenarios_eagerly():
          .scenario("corrupt-recover:k=99").run())
 
 
-def test_fischer_jiang_runs_scenarios_on_its_oracle_simulation():
-    """The custom-factory spec still supports state perturbations (its
-    simulation is rebuilt per phase through the factory)."""
+def test_fischer_jiang_runs_scenarios_on_the_table_with_its_oracle():
+    """Every phase's simulation is built with a fresh oracle, on the
+    batched engine under ``auto``."""
     result = (experiment("fischer-jiang").on_ring(8)
               .scenario("corrupt-recover:k=2").trials(2).seed(23).run())
     assert all(trial.converged for trial in result.trials)
     assert all(trial.phases[1].perturbation == "corrupt-states"
                for trial in result.trials)
-    assert all(trial.engine == "step" for trial in result.trials)
+    assert all(trial.engine == "batched" for trial in result.trials)
 
 
 def test_builder_then_chain_builds_the_canonical_scenario():

@@ -145,10 +145,17 @@ def test_run_engines_agree_on_step_counts(capsys):
     assert outcomes["step"] == outcomes["batched"]
 
 
-def test_run_rejects_batched_engine_for_step_only_protocols(capsys):
-    with pytest.raises(SystemExit):
-        main(["run", "fischer-jiang", "--sizes", "8", "--engine", "batched"])
-    assert "requires the step engine" in capsys.readouterr().err
+def test_run_fischer_jiang_is_equal_on_both_engines(capsys):
+    outcomes = {}
+    for engine in ("step", "batched"):
+        assert main(["run", "fischer-jiang", "--sizes", "8,16", "--trials", "3",
+                     "--engine", engine, "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert {trial["engine"] for result in results
+                for trial in result["trials"]} == {engine}
+        outcomes[engine] = [(trial["steps"], trial["converged"])
+                            for result in results for trial in result["trials"]]
+    assert outcomes["step"] == outcomes["batched"]
 
 
 def test_run_rejects_engine_flag_for_analytic_specs(capsys):
