@@ -24,7 +24,9 @@ experiments, CLI, or builder needs editing.
 
 from __future__ import annotations
 
+import functools
 import inspect
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -61,6 +63,37 @@ AnalyticModel = Callable[[int, ExperimentConfig], Dict[str, object]]
 
 def _any_ring(n: int) -> bool:
     return n >= 2
+
+
+def _positional_arity(function: Callable) -> float:
+    """How many positional arguments ``function`` declares: infinite with
+    ``*args``, and 0 when it has no signature (builtins, some partials)."""
+    try:
+        parameters = inspect.signature(function).parameters.values()
+    except (TypeError, ValueError):  # builtins/partials without signatures
+        return 0
+    arity = 0
+    for parameter in parameters:
+        if parameter.kind is parameter.VAR_POSITIONAL:
+            return math.inf
+        if parameter.kind in (parameter.POSITIONAL_ONLY, parameter.POSITIONAL_OR_KEYWORD):
+            arity += 1
+    return arity
+
+
+_cached_arity = functools.lru_cache(maxsize=256)(_positional_arity)
+
+
+def _accepts(function: Callable, count: int) -> bool:
+    """True when ``function`` declares ``count`` or more positional
+    parameters.  A spec's builders are called once per trial, so the answer
+    is cached per callable; an unhashable one is read from its signature on
+    every call."""
+    try:
+        arity = _cached_arity(function)
+    except TypeError:  # unhashable: no cache key
+        arity = _positional_arity(function)
+    return arity >= count
 
 
 @dataclass(frozen=True)
@@ -228,22 +261,7 @@ class ProtocolSpec:
         """
         self.require_family(family)
         builder = self.families[family]
-        try:
-            parameters = [
-                parameter
-                for parameter in inspect.signature(builder).parameters.values()
-                if parameter.kind in (parameter.POSITIONAL_ONLY,
-                                      parameter.POSITIONAL_OR_KEYWORD,
-                                      parameter.VAR_POSITIONAL)
-            ]
-            wants_population = (
-                len(parameters) >= 4
-                or any(parameter.kind is parameter.VAR_POSITIONAL
-                       for parameter in parameters)
-            )
-        except (TypeError, ValueError):  # builtins/partials without signatures
-            wants_population = False
-        if wants_population:
+        if _accepts(builder, 4):
             if population is None:
                 raise ValueError(
                     f"family {family!r} of protocol {self.name!r} needs the "
@@ -268,23 +286,7 @@ class ProtocolSpec:
             raise ValueError(
                 f"protocol {self.name!r} is analytic and has no stop predicate"
             )
-        try:
-            parameters = [
-                parameter
-                for parameter in inspect.signature(
-                    self.stop_predicate).parameters.values()
-                if parameter.kind in (parameter.POSITIONAL_ONLY,
-                                      parameter.POSITIONAL_OR_KEYWORD,
-                                      parameter.VAR_POSITIONAL)
-            ]
-            wants_population = (
-                len(parameters) >= 2
-                or any(parameter.kind is parameter.VAR_POSITIONAL
-                       for parameter in parameters)
-            )
-        except (TypeError, ValueError):  # builtins/partials without signatures
-            wants_population = False
-        if wants_population:
+        if _accepts(self.stop_predicate, 2):
             return self.stop_predicate(protocol, population)
         return self.stop_predicate(protocol)
 

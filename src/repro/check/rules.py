@@ -60,11 +60,11 @@ inventory:
   ``Simulation`` (protocol, population, observers — rebound, never
   mutated mid-run) and ``BatchedSimulation`` (protocol, population, arc
   list and layout constants — invariant for the simulation's lifetime;
-  the mutable run state they parameterize — codes, stream position,
-  counters — is exactly what ``snapshot()`` captures — plus the lazy
-  table, its index, the coded states, their leader flags and the rebuild
-  point: caches of a pure function, which a restore re-codes from the
-  captured states).
+  the mutable run state they parameterize — stream position, counters —
+  is exactly what ``snapshot()`` captures).  Its coded table needs no
+  allow: ``snapshot()`` captures the table's view of the agents and
+  ``restore()`` re-codes it; the table's lookup entries are caches of a
+  pure function.
 """
 
 from __future__ import annotations

@@ -9,22 +9,28 @@ and an observer loop per interaction, it
   ``getrandbits`` rejection loop: the same draws in the same order as
   :class:`~repro.core.scheduler.UniformRandomScheduler`, so random streams
   are bit-identical across engines),
-* holds the agents as integer codes — a state gets one the first time it is
-  seen (:func:`~repro.core.encoding.state_key`) — and fills a transition
-  table lazily: a ``(code_i, code_r)`` pair calls ``protocol.transition``
-  only on its first occurrence, every repeat is one dict lookup, and
-* tracks ``steps`` / ``effective_steps`` / per-agent interaction counts /
-  the leader count incrementally, so metrics cost O(1) per step and
-  ``leader_count()`` is O(1) instead of an O(n) scan.
+* hands each block to a coded table (:class:`CodedTable`), which holds the
+  agents as integer codes and applies the block through lazily filled
+  lookup tables, and
+* tracks ``steps`` / ``effective_steps`` / per-agent interaction counts
+  incrementally, with the table keeping the leader count, so metrics cost
+  O(1) per step and ``leader_count()`` is O(1) instead of an O(n) scan.
+
+The table is the protocol's own when it has a ``coded_table()`` method —
+``P_PL`` runs on three stage tables over the components of its states
+(:class:`~repro.protocols.ppl.stages.StageTable`) — and otherwise the
+:class:`JointTable`: a state gets a code the first time it is seen
+(:func:`~repro.core.encoding.state_key`), and a ``(code_i, code_r)`` pair
+calls ``protocol.transition`` only on its first occurrence, every repeat
+being one dict lookup.  Its memory is bounded by :data:`MAX_CODED_STATES`:
+once that many states have been coded since the table was built, the next
+miss rebuilds it from the agents' current states.  A table memoizes a pure
+function, so when an entry is filled, and which code a state gets, cannot
+change a result.
 
 An :class:`~repro.core.simulator.Oracle` runs between blocks: every block
 ends at the latest at the oracle's next report, and the states it rewrites
 are re-coded, so the hot loop never sees it.
-
-The table memoizes a pure function, so when an entry is filled, and which
-code a state gets, cannot change a result.  Its memory is bounded by
-:data:`MAX_CODED_STATES`: once that many states have been coded since the
-table was built, the next miss rebuilds it from the agents' current states.
 
 Equivalence contract
 --------------------
@@ -38,14 +44,15 @@ registered protocol spec on every topology it supports.  What the table
 engine does *not* support are per-interaction observers (there is
 deliberately no per-step callback on the hot path); use the step engine when
 a :class:`~repro.core.recorder.TraceRecorder` or
-:class:`~repro.core.recorder.FieldWatcher` is attached.  It shares one
-object per code, so no engine may mutate a state in place.
+:class:`~repro.core.recorder.FieldWatcher` is attached.  The joint table
+shares one object per code, so no engine may mutate a state in place.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
+import typing
+from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.configuration import Configuration
 from repro.core.encoding import fresh_copy, state_key
@@ -70,8 +77,8 @@ ENGINES = ("auto", "step", "batched")
 #: ints) regardless of how many steps a single run()/run_until() burst asks for.
 _MAX_BLOCK = 65_536
 
-#: Memory bound of the batched engine's lazy table: the states it may code
-#: between two builds.  Read when a simulation is constructed.
+#: Memory bound of the joint table: the states it may code between two
+#: builds.  Read when a table is constructed.
 MAX_CODED_STATES = 1024
 
 #: A table entry: ``()`` when the interaction changes neither state, else
@@ -79,185 +86,93 @@ MAX_CODED_STATES = 1024
 _Entry = Tuple[int, ...]
 
 
-class BatchedSimulation(Generic[StateT]):
-    """Executes one protocol on one population through a lazily filled table.
+class CodedTable(typing.Protocol[StateT]):
+    """What :class:`BatchedSimulation` asks of the table that holds its
+    agents: a protocol's ``coded_table()`` when it has one, else a
+    :class:`JointTable`.
 
-    Parameters mirror :class:`~repro.core.simulator.Simulation`: pass either
-    a ``scheduler`` (any :class:`Scheduler`, e.g. a ``SequenceScheduler`` for
-    replay/cross-checks) or an ``rng`` seed/source for the built-in uniformly
-    random drawing, and optionally an ``oracle``.  States must be hashable or
-    dataclasses.  Execution runs in blocks of at most ``_MAX_BLOCK``
-    interactions, with stop predicates evaluated on the zero-copy
-    ``_view()``.
+    A table holds the agents' current states as codes of its own choosing.
+    It memoizes a pure function, so how it codes states and when it fills
+    or drops entries cannot change a result.
     """
 
-    #: The engine name trial results report (as ``Simulation.tier``).
-    tier = "batched"
+    #: The number of agents in a leader state.
+    leaders: int
 
-    def __init__(
-        self,
-        protocol: Protocol[StateT],
-        population: Population,
-        initial: Configuration[StateT],
-        scheduler: Optional[Scheduler] = None,
-        rng: "RandomSource | int | None" = None,
-        oracle: Optional[Oracle] = None,
-    ) -> None:
-        if len(initial) != population.size:
-            raise InvalidConfigurationError(
-                f"configuration has {len(initial)} agents but the population has "
-                f"{population.size}"
-            )
-        # Shared immutable structure (protocol, topology, layout constants)
-        # and the lazy table's caches — code -> state, state key -> code,
-        # code -> leader flag, pair ``code_i * stride + code_r`` -> entry.
-        # The caches memoize a pure function: a restore re-codes the
-        # captured states, and a rebuild may renumber every code, without
-        # changing the run, so none of it is run state.
-        self._protocol = protocol  # repro: allow[REP006]
-        self._population = population  # repro: allow[REP006]
-        self._coded: List[StateT] = []  # repro: allow[REP006]
-        self._index: Dict[Hashable, int] = {}  # repro: allow[REP006]
-        self._leader_flags: List[int] = []  # repro: allow[REP006]
-        self._table: Dict[int, _Entry] = {}  # repro: allow[REP006]
-        self._max_new = MAX_CODED_STATES  # repro: allow[REP006]
+    def code(self, states: Sequence[StateT]) -> None:
+        """Hold ``states`` as the agents' states, and count their leaders."""
+
+    def view(self) -> List[StateT]:
+        """The agents' states, as never-mutated objects."""
+
+    def apply(self, arcs: Sequence[Tuple[int, int]], counts: List[int]) -> int:
+        """Run the interactions of ``arcs`` in order, count each agent's in
+        ``counts`` and return how many changed some state."""
+
+
+class JointTable(Generic[StateT]):
+    """The lazily filled table over whole states: every protocol's unless
+    it brings its own.
+
+    A state gets a code the first time it is seen
+    (:func:`~repro.core.encoding.state_key`), and a ``(code_i, code_r)``
+    pair calls ``protocol.transition`` only on its first occurrence; every
+    repeat is one dict lookup.  Once :data:`MAX_CODED_STATES` states have
+    been coded since the table was built, the next miss rebuilds it from the
+    agents' current states.
+    """
+
+    def __init__(self, protocol: Protocol[StateT], size: int) -> None:
+        self._protocol = protocol
+        self._coded: List[StateT] = []  # code -> state
+        self._index: Dict[Hashable, int] = {}  # state key -> code
+        self._leader_flags: List[int] = []  # code -> leader flag
+        self._table: Dict[int, _Entry] = {}  # code_i * stride + code_r -> entry
+        self._max_new = MAX_CODED_STATES
         # A build codes at most n states and at most max_new + 1 follow it.
-        self._stride = population.size + self._max_new + 2  # repro: allow[REP006]
-        self._codes: List[int] = [self._intern(state) for state in initial]
-        self._rebuild_at = len(self._coded) + self._max_new  # repro: allow[REP006]
-        self._scheduler = scheduler
-        self._rng = None if scheduler is not None else ensure_source(rng)
-        self._oracle = oracle
-        self._num_arcs = population.num_arcs  # repro: allow[REP006]
-        # Bits per arc draw: randrange(num_arcs) draws this many bits until
-        # the value falls below num_arcs.
-        self._draw_bits = self._num_arcs.bit_length()  # repro: allow[REP006]
-        # Index an arc list only when the population already has one; lazy
-        # populations (large complete graphs) stay allocation-free via the
-        # closed-form arc_by_index path.
-        self._arc_list = population.arcs if population.has_materialized_arcs else None  # repro: allow[REP006]
-        self._leaders = sum(self._leader_flags[code] for code in self._codes)
-        self._total_steps = 0
-        self._effective_steps = 0
-        self._interactions = [0] * population.size
+        self._stride = size + self._max_new + 2
+        self._rebuild_at = self._max_new
+        self._codes: List[int] = []
+        #: The number of agents in a leader state.
+        self.leaders = 0
 
-    # ------------------------------------------------------------------ #
-    # Accessors (mirroring Simulation)
-    # ------------------------------------------------------------------ #
-    @property
-    def protocol(self) -> Protocol[StateT]:
-        """The protocol being executed."""
-        return self._protocol
+    def code(self, states: Sequence[StateT]) -> None:
+        """Hold ``states`` as the agents' codes (rebuilding if that passes
+        the cap, which keeps every code below the stride), and count their
+        leaders."""
+        self._codes = [self._intern(state) for state in states]
+        if len(self._coded) >= self._rebuild_at:
+            self._rebuild()
+        flags = self._leader_flags
+        self.leaders = sum(flags[code] for code in self._codes)
 
-    @property
-    def population(self) -> Population:
-        """The population graph."""
-        return self._population
-
-    @property
-    def steps(self) -> int:
-        """Total number of steps executed so far."""
-        return self._total_steps
-
-    @property
-    def effective_steps(self) -> int:
-        """Steps in which the transition actually changed some state."""
-        return self._effective_steps
-
-    def leader_count(self) -> int:
-        """Number of agents currently outputting the leader symbol (O(1))."""
-        return self._leaders
-
-    def add_observer(self, observer: object) -> None:
-        """Unsupported: observers would reintroduce a Python call per step."""
-        raise InvalidParameterError(
-            f"the {self.tier} engine does not support per-interaction observers; "
-            "use the step engine (Simulation) for traced runs"
-        )
-
-    @property
-    def metrics(self) -> StepMetrics:
-        """Step metrics, materialized from the incremental counters.
-
-        Unlike :class:`Simulation`, the returned object is a snapshot (the
-        counters live in flat arrays on the hot path); its contents equal the
-        step engine's metrics for the same arc stream.
-        """
-        per_agent = {
-            agent: count
-            for agent, count in enumerate(self._interactions)
-            if count
-        }
-        return StepMetrics(
-            steps=self._total_steps,
-            interactions_per_agent=per_agent,
-            effective_steps=self._effective_steps,
-        )
-
-    def state_of(self, agent: int) -> StateT:
-        """Current state of one agent; out-of-range indices raise ``IndexError``."""
-        if not 0 <= agent < len(self._codes):
-            raise IndexError(
-                f"agent {agent} out of range for a population of {len(self._codes)}"
-            )
-        return fresh_copy(self._coded[self._codes[agent]])
-
-    def states(self) -> List[StateT]:
-        """Snapshot of the agent states (decoded fresh on every call)."""
-        coded = self._coded
-        return [fresh_copy(coded[code]) for code in self._codes]
-
-    def codes(self) -> List[int]:
-        """The live integer state array (read-only for callers)."""
-        return self._codes
-
-    def configuration(self) -> Configuration[StateT]:
-        """Immutable snapshot of the current configuration."""
-        return Configuration(self.states())
-
-    def _view(self) -> List[StateT]:
+    def view(self) -> List[StateT]:
+        """The agents' states: one shared object per code."""
         coded = self._coded
         return [coded[code] for code in self._codes]
 
-    # ------------------------------------------------------------------ #
-    # State capture (the engine snapshot/restore contract)
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """Capture the full execution state (same contract as ``Simulation``).
+    def apply(self, arcs: Sequence[Tuple[int, int]], counts: List[int]) -> int:
+        """Run the interactions of ``arcs`` in order, count each agent's in
+        ``counts`` and return how many changed some state."""
+        codes = self._codes
+        stride = self._stride
+        lookup = self._table.get
+        fill = self._fill
+        effective = 0
+        leaders = self.leaders
+        for initiator, responder in arcs:
+            entry = lookup(codes[initiator] * stride + codes[responder])
+            if entry is None:
+                entry = fill(initiator, responder)
+            if entry:
+                codes[initiator], codes[responder], delta = entry
+                effective += 1
+                leaders += delta
+            counts[initiator] += 1
+            counts[responder] += 1
+        self.leaders = leaders
+        return effective
 
-        Agents are captured as their (never mutated) states, not as codes,
-        which a rebuild renumbers; the oracle is deep-copied.
-        """
-        coded = self._coded
-        return {
-            "states": [coded[code] for code in self._codes],
-            "oracle": copy.deepcopy(self._oracle),
-            "stream": (self._rng.getstate() if self._rng is not None
-                       else self._scheduler.getstate()),
-            "total_steps": self._total_steps,
-            "effective_steps": self._effective_steps,
-            "interactions": list(self._interactions),
-            "leaders": self._leaders,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Rewind to a state captured by :meth:`snapshot` (same simulation)."""
-        self._codes = [self._intern(state) for state in snapshot["states"]]
-        if len(self._coded) >= self._rebuild_at:
-            self._rebuild()  # keeps every code below the stride
-        self._oracle = copy.deepcopy(snapshot["oracle"])
-        if self._rng is not None:
-            self._rng.setstate(snapshot["stream"])
-        else:
-            self._scheduler.setstate(snapshot["stream"])
-        self._total_steps = snapshot["total_steps"]
-        self._effective_steps = snapshot["effective_steps"]
-        self._interactions = list(snapshot["interactions"])
-        self._leaders = snapshot["leaders"]
-
-    # ------------------------------------------------------------------ #
-    # The lazy table
-    # ------------------------------------------------------------------ #
     def _intern(self, state: StateT) -> int:
         """The code of ``state``, assigned on first sight."""
         key = state_key(state)
@@ -302,6 +217,160 @@ class BatchedSimulation(Generic[StateT]):
         self._table[before_i * self._stride + before_r] = entry
         return entry
 
+
+class BatchedSimulation(Generic[StateT]):
+    """Executes one protocol on one population through a coded table.
+
+    Parameters mirror :class:`~repro.core.simulator.Simulation`: pass either
+    a ``scheduler`` (any :class:`Scheduler`, e.g. a ``SequenceScheduler`` for
+    replay/cross-checks) or an ``rng`` seed/source for the built-in uniformly
+    random drawing, and optionally an ``oracle``.  On the joint table states
+    must be hashable or dataclasses.  Execution runs in blocks of at most
+    ``_MAX_BLOCK`` interactions, with stop predicates evaluated on the
+    table's view of the agents.
+    """
+
+    #: The engine name trial results report (as ``Simulation.tier``).
+    tier = "batched"
+
+    def __init__(
+        self,
+        protocol: Protocol[StateT],
+        population: Population,
+        initial: Configuration[StateT],
+        scheduler: Optional[Scheduler] = None,
+        rng: "RandomSource | int | None" = None,
+        oracle: Optional[Oracle] = None,
+    ) -> None:
+        if len(initial) != population.size:
+            raise InvalidConfigurationError(
+                f"configuration has {len(initial)} agents but the population has "
+                f"{population.size}"
+            )
+        # Shared immutable structure (protocol, topology, layout constants).
+        self._protocol = protocol  # repro: allow[REP006]
+        self._population = population  # repro: allow[REP006]
+        # The agents' states, held as codes by the protocol's own coded
+        # table or by the joint table; a snapshot captures the states.
+        make_table = getattr(protocol, "coded_table", None)
+        self._table: CodedTable[StateT] = (
+            make_table() if make_table is not None else JointTable(protocol, population.size))
+        self._table.code(initial.states())
+        self._scheduler = scheduler
+        self._rng = None if scheduler is not None else ensure_source(rng)
+        self._oracle = oracle
+        self._num_arcs = population.num_arcs  # repro: allow[REP006]
+        # Bits per arc draw: randrange(num_arcs) draws this many bits until
+        # the value falls below num_arcs.
+        self._draw_bits = self._num_arcs.bit_length()  # repro: allow[REP006]
+        # Index an arc list only when the population already has one; lazy
+        # populations (large complete graphs) stay allocation-free via the
+        # closed-form arc_by_index path.
+        self._arc_list = population.arcs if population.has_materialized_arcs else None  # repro: allow[REP006]
+        self._total_steps = 0
+        self._effective_steps = 0
+        self._interactions = [0] * population.size
+
+    # ------------------------------------------------------------------ #
+    # Accessors (mirroring Simulation)
+    # ------------------------------------------------------------------ #
+    @property
+    def protocol(self) -> Protocol[StateT]:
+        """The protocol being executed."""
+        return self._protocol
+
+    @property
+    def population(self) -> Population:
+        """The population graph."""
+        return self._population
+
+    @property
+    def steps(self) -> int:
+        """Total number of steps executed so far."""
+        return self._total_steps
+
+    @property
+    def effective_steps(self) -> int:
+        """Steps in which the transition actually changed some state."""
+        return self._effective_steps
+
+    def leader_count(self) -> int:
+        """Number of agents currently outputting the leader symbol (O(1))."""
+        return self._table.leaders
+
+    def add_observer(self, observer: object) -> None:
+        """Unsupported: observers would reintroduce a Python call per step."""
+        raise InvalidParameterError(
+            f"the {self.tier} engine does not support per-interaction observers; "
+            "use the step engine (Simulation) for traced runs"
+        )
+
+    @property
+    def metrics(self) -> StepMetrics:
+        """Step metrics, materialized from the incremental counters.
+
+        Unlike :class:`Simulation`, the returned object is a snapshot (the
+        counters live in flat arrays on the hot path); its contents equal the
+        step engine's metrics for the same arc stream.
+        """
+        per_agent = {
+            agent: count
+            for agent, count in enumerate(self._interactions)
+            if count
+        }
+        return StepMetrics(
+            steps=self._total_steps,
+            interactions_per_agent=per_agent,
+            effective_steps=self._effective_steps,
+        )
+
+    def state_of(self, agent: int) -> StateT:
+        """Current state of one agent; out-of-range indices raise ``IndexError``."""
+        if not 0 <= agent < len(self._interactions):
+            raise IndexError(
+                f"agent {agent} out of range for a population of {len(self._interactions)}"
+            )
+        return fresh_copy(self._table.view()[agent])
+
+    def states(self) -> List[StateT]:
+        """Snapshot of the agent states (decoded fresh on every call)."""
+        return [fresh_copy(state) for state in self._table.view()]
+
+    def configuration(self) -> Configuration[StateT]:
+        """Immutable snapshot of the current configuration."""
+        return Configuration(self.states())
+
+    # ------------------------------------------------------------------ #
+    # State capture (the engine snapshot/restore contract)
+    # ------------------------------------------------------------------ #
+    def snapshot(self) -> dict:
+        """Capture the full execution state (same contract as ``Simulation``).
+
+        Agents are captured as their (never mutated) states, not as codes,
+        which are the table's own; the oracle is deep-copied.
+        """
+        return {
+            "states": self._table.view(),
+            "oracle": copy.deepcopy(self._oracle),
+            "stream": (self._rng.getstate() if self._rng is not None
+                       else self._scheduler.getstate()),
+            "total_steps": self._total_steps,
+            "effective_steps": self._effective_steps,
+            "interactions": list(self._interactions),
+        }
+
+    def restore(self, snapshot: dict) -> None:
+        """Rewind to a state captured by :meth:`snapshot` (same simulation)."""
+        self._table.code(snapshot["states"])
+        self._oracle = copy.deepcopy(snapshot["oracle"])
+        if self._rng is not None:
+            self._rng.setstate(snapshot["stream"])
+        else:
+            self._scheduler.setstate(snapshot["stream"])
+        self._total_steps = snapshot["total_steps"]
+        self._effective_steps = snapshot["effective_steps"]
+        self._interactions = list(snapshot["interactions"])
+
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -322,13 +391,9 @@ class BatchedSimulation(Generic[StateT]):
 
     def _consult_oracle(self) -> None:
         """Show the oracle the configuration and re-code what it rewrote."""
-        view = self._view()
+        view = self._table.view()
         if self._oracle.observe_and_report(view):
-            self._codes = [self._intern(state) for state in view]
-            if len(self._coded) >= self._rebuild_at:
-                self._rebuild()  # keeps every code below the stride
-            flags = self._leader_flags
-            self._leaders = sum(flags[code] for code in self._codes)
+            self._table.code(view)
 
     def step(self) -> bool:
         """Execute one interaction; return True when the transition changed
@@ -370,14 +435,15 @@ class BatchedSimulation(Generic[StateT]):
         per arc stream, identical step counts) to :meth:`Simulation.run_until`,
         including the optional geometric check-interval backoff.
 
-        The predicate sees a zero-copy view: agents in equal states share one
-        object, so predicates must treat the sequence as read-only (all
-        predicates in this package do).
+        The predicate sees the table's view: on the joint table agents in
+        equal states share one object, so predicates must treat the
+        sequence as read-only (all predicates in this package do).
         """
         if max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {max_steps}")
         cap = resolve_check_cap(check_interval, check_backoff, check_interval_cap)
-        if predicate(self._view()):
+        view = self._table.view
+        if predicate(view()):
             return RunResult(True, 0, self.configuration())
         executed = 0
         interval = check_interval
@@ -385,7 +451,7 @@ class BatchedSimulation(Generic[StateT]):
             burst = min(interval, max_steps - executed)
             self._advance_chunked(burst)
             executed += burst
-            if predicate(self._view()):
+            if predicate(view()):
                 return RunResult(True, executed, self.configuration())
             if check_backoff and interval < cap:
                 interval = min(interval * 2, cap)
@@ -429,26 +495,8 @@ class BatchedSimulation(Generic[StateT]):
                     while index >= num_arcs:
                         index = getrandbits(bits)
                     append(arc_by_index(index))
-        codes = self._codes
-        stride = self._stride
-        lookup = self._table.get
-        fill = self._fill
-        counts = self._interactions
-        effective = 0
-        leaders = self._leaders
-        for initiator, responder in arcs:
-            entry = lookup(codes[initiator] * stride + codes[responder])
-            if entry is None:
-                entry = fill(initiator, responder)
-            if entry:
-                codes[initiator], codes[responder], delta = entry
-                effective += 1
-                leaders += delta
-            counts[initiator] += 1
-            counts[responder] += 1
+        self._effective_steps += self._table.apply(arcs, self._interactions)
         self._total_steps += len(arcs)
-        self._effective_steps += effective
-        self._leaders = leaders
         if exhausted is not None:
             raise exhausted
 

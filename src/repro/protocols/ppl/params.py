@@ -103,27 +103,28 @@ class PPLParams:
         positions = 2 * self.psi - 1
         return 1 + positions * 4
 
+    def segment_domain_size(self) -> int:
+        """Values of ``(leader, b, dist, last, token_b, token_w)``."""
+        return 2 * 2 * self.dist_modulus * 2 * self.token_domain_size() ** 2
+
+    def timer_domain_size(self) -> int:
+        """Values of ``(mode, clock, hits, signal_r)``."""
+        return 2 * (self.kappa_max + 1) * (self.psi + 1) * (self.kappa_max + 1)
+
+    def war_domain_size(self) -> int:
+        """Values of ``(bullet, shield, signal_b)``."""
+        return 3 * 2 * 2
+
     def state_space_size(self) -> int:
         """Total number of per-agent states of ``P_PL`` (product of variable domains).
 
         This is the quantity Table 1 reports as "#states"; it is
         ``polylog(n)`` because every factor is ``O(psi) = O(log n)`` or
-        constant.
+        constant.  It is the product of the three components' domains
+        (:mod:`repro.protocols.ppl.stages`).
         """
-        leader = 2
-        bit = 2
-        dist = self.dist_modulus
-        last = 2
-        tokens = self.token_domain_size() ** 2
-        mode = 2
-        clock = self.kappa_max + 1
-        hits = self.psi + 1
-        signal_r = self.kappa_max + 1
-        bullet = 3
-        shield = 2
-        signal_b = 2
-        return (leader * bit * dist * last * tokens * mode * clock * hits
-                * signal_r * bullet * shield * signal_b)
+        return (self.segment_domain_size() * self.timer_domain_size()
+                * self.war_domain_size())
 
     def memory_bits(self) -> float:
         """Per-agent memory in bits, ``log2`` of :meth:`state_space_size`."""

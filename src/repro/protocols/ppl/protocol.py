@@ -4,6 +4,12 @@
 protocol for directed rings that, given ``psi = ceil(log2 n) + O(1)``, reaches
 a safe configuration within ``O(n^2 log n)`` steps w.h.p. and in expectation
 (Theorem 3.1) using only ``polylog(n)`` states per agent.
+
+Algorithm 1 is written once, as three stages over the components of a
+state (:mod:`repro.protocols.ppl.stages`): ``transition`` composes them for
+the step loop and the model checker, and :meth:`PPLProtocol.coded_table`
+gives the table engine a :class:`~repro.protocols.ppl.stages.StageTable`
+that memoizes each stage on its own.
 """
 
 from __future__ import annotations
@@ -12,12 +18,17 @@ from typing import Iterable, Tuple
 
 from repro.core.protocol import LeaderElectionProtocol
 from repro.core.rng import RandomSource
-from repro.protocols.ppl.create_leader import create_leader
-from repro.protocols.ppl.determine_mode import determine_mode
-from repro.protocols.ppl.eliminate_leaders import eliminate_leaders
-from repro.protocols.ppl.move_token import move_token
 from repro.protocols.ppl.params import PPLParams
-from repro.protocols.ppl.state import BULLET_LIVE, PPLState, random_state, validate_state
+from repro.protocols.ppl.stages import (
+    SEGMENT,
+    TIMERS,
+    WAR,
+    StageTable,
+    segment_stage,
+    timer_stage,
+    war_stage,
+)
+from repro.protocols.ppl.state import PPLState, random_state, validate_state
 
 #: Builds a state from a tuple of its 13 field values; it skips the
 #: Python-level ``__new__`` a named tuple's constructor runs.
@@ -43,54 +54,30 @@ class PPLProtocol(LeaderElectionProtocol[PPLState]):
         return self._params
 
     def transition(self, initiator: PPLState, responder: PPLState) -> Tuple[PPLState, PPLState]:
-        """Algorithm 1: apply ``CreateLeader()`` then ``EliminateLeaders()``.
+        """Algorithm 1: ``CreateLeader()`` then ``EliminateLeaders()``.
 
-        Each state is unpacked once; the algorithms' functions run in the
-        paper's order on the field values (Algorithm 2 line 3, lines 4-9,
-        lines 10 and 11, then Algorithm 5), and the two output states are
-        built once.
+        The composition of the three stages of :mod:`repro.protocols.ppl.stages`
+        in the paper's order: Algorithm 2 line 3 on the timers, lines 4-9
+        and lines 10 and 11 on the segment fields, then leader creation and
+        Algorithm 5 on the war fields.  :class:`StageTable` memoizes the
+        same three functions, so this is the table engine's reference too.
         """
-        (l_leader, l_b, l_dist, l_last, l_token_b, l_token_w, l_mode, l_clock,
-         l_hits, l_signal_r, l_bullet, l_shield, l_signal_b) = initiator
-        (r_leader, r_b, r_dist, r_last, r_token_b, r_token_w, r_mode, r_clock,
-         r_hits, r_signal_r, r_bullet, r_shield, r_signal_b) = responder
-        psi = self._psi
-        dist_modulus = self._dist_modulus
+        l_timers, r_timers = timer_stage(initiator[0], initiator[TIMERS], responder[TIMERS],
+                                         self._psi, self._kappa_max)
+        l_segment, r_segment, created = segment_stage(
+            initiator[SEGMENT], responder[SEGMENT], r_timers[0],
+            self._psi, self._dist_modulus)
+        l_war, r_war, r_leader = war_stage(initiator[0], initiator[WAR], r_segment[0],
+                                           responder[WAR], created)
+        if r_leader != r_segment[0]:
+            r_segment = (r_leader,) + r_segment[1:]
+        return (_new_state(PPLState, l_segment + l_timers + l_war),
+                _new_state(PPLState, r_segment + r_timers + r_war))
 
-        # Algorithm 1 line 1, CreateLeader(): Algorithm 2 line 3 ...
-        (l_hits, l_clock, l_signal_r, l_mode,
-         r_hits, r_clock, r_signal_r, r_mode) = determine_mode(
-            l_leader, l_clock, l_signal_r, r_clock, r_hits, r_signal_r,
-            psi, self._kappa_max)
-        # ... lines 4-9 ...
-        l_last, r_dist, created = create_leader(
-            l_dist, r_leader, r_dist, r_last, r_mode, psi, dist_modulus)
-        # ... line 10 (black tokens, d = 0) and line 11 (white, d = psi).
-        l_token_b, r_token_b, r_b, created_b = move_token(
-            l_dist, l_b, l_last, l_token_b, r_dist, r_b, r_last, r_mode, r_token_b,
-            0, psi, dist_modulus)
-        l_token_w, r_token_w, r_b, created_w = move_token(
-            l_dist, l_b, l_last, l_token_w, r_dist, r_b, r_last, r_mode, r_token_w,
-            psi, psi, dist_modulus)
-        if created or created_b or created_w:
-            # Algorithm 2 line 6 / Algorithm 3 line 18: the new leader fires a
-            # live bullet, raises its shield and clears the absence signal.
-            r_leader, r_bullet, r_shield, r_signal_b = 1, BULLET_LIVE, 1, 0
-
-        # Algorithm 1 line 2, EliminateLeaders().
-        (l_bullet, l_shield, l_signal_b,
-         r_leader, r_bullet, r_shield, r_signal_b) = eliminate_leaders(
-            l_leader, l_bullet, l_shield, l_signal_b,
-            r_leader, r_bullet, r_shield, r_signal_b)
-
-        return (
-            _new_state(PPLState, (l_leader, l_b, l_dist, l_last, l_token_b, l_token_w,
-                                  l_mode, l_clock, l_hits, l_signal_r, l_bullet,
-                                  l_shield, l_signal_b)),
-            _new_state(PPLState, (r_leader, r_b, r_dist, r_last, r_token_b, r_token_w,
-                                  r_mode, r_clock, r_hits, r_signal_r, r_bullet,
-                                  r_shield, r_signal_b)),
-        )
+    def coded_table(self) -> StageTable:
+        """The table engine's coded table for this protocol: three stage
+        tables over component codes instead of one over whole states."""
+        return StageTable(self._params)
 
     def leader_flag(self, state: PPLState) -> bool:
         return state.leader == 1

@@ -77,6 +77,80 @@ def test_register_and_unregister_custom_spec():
 
 
 # ---------------------------------------------------------------------- #
+# Builders get the population exactly when they declare it
+# ---------------------------------------------------------------------- #
+class _UnhashablePredicateFactory:
+    """A stop-predicate factory that cannot be a cache key."""
+
+    __hash__ = None
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def __call__(self, protocol, population):
+        self.calls.append(population)
+        return lambda states: True
+
+
+def _spec_with(stop_predicate, family=None) -> ProtocolSpec:
+    base = get_spec("yokota2021")
+    families = {"adversarial": family or base.families["adversarial"]}
+    return ProtocolSpec(name="arity-probe", summary="dispatch by declared arity",
+                        factory=base.factory, families=families,
+                        stop_predicate=stop_predicate)
+
+
+def _ingredients(spec):
+    protocol = spec.build_protocol(8, TINY)
+    return protocol, spec.build_population(8, TINY)
+
+
+def test_a_builder_signature_is_read_once(monkeypatch):
+    from repro.api import registry
+
+    reads = []
+    signature = registry.inspect.signature
+
+    def counted(function):
+        reads.append(function)
+        return signature(function)
+
+    monkeypatch.setattr(registry.inspect, "signature", counted)
+
+    def predicate_factory(protocol, population):
+        return lambda states: population.size == len(states)
+
+    def family(protocol, n, rng, population):
+        return random_configuration(protocol, population.size, rng)
+
+    spec = _spec_with(predicate_factory, family)
+    protocol, population = _ingredients(spec)
+    for seed in range(3):
+        initial = spec.build_configuration("adversarial", protocol, 8,
+                                           RandomSource(seed), population=population)
+        assert spec.build_stop_predicate(protocol, population)(initial.states())
+    assert reads.count(predicate_factory) == 1
+    assert reads.count(family) == 1
+
+
+def test_an_unhashable_factory_is_dispatched_by_its_signature():
+    factory = _UnhashablePredicateFactory()
+    spec = _spec_with(factory)
+    protocol, population = _ingredients(spec)
+    for _ in range(2):
+        assert spec.build_stop_predicate(protocol, population)([])
+    assert factory.calls == [population, population]
+
+
+def test_a_builder_without_a_signature_gets_the_short_form():
+    spec = _spec_with(lambda protocol: protocol.is_leader)
+    protocol, population = _ingredients(spec)
+    builtin = _spec_with(bool)  # inspect.signature(bool) raises ValueError
+    assert spec.build_stop_predicate(protocol, population) == protocol.is_leader
+    assert builtin.build_stop_predicate(protocol, population) is True
+
+
+# ---------------------------------------------------------------------- #
 # Round-trip: every registered spec runs (or evaluates) at a small size
 # ---------------------------------------------------------------------- #
 def test_every_registered_spec_round_trips():

@@ -20,7 +20,7 @@ from repro.api.registry import resolve_engine
 from repro.core import fast_simulator
 from repro.core.configuration import Configuration
 from repro.core.errors import InvalidParameterError, ScheduleExhaustedError
-from repro.core.fast_simulator import ENGINES, BatchedSimulation
+from repro.core.fast_simulator import ENGINES, BatchedSimulation, JointTable
 from repro.core.rng import RandomSource
 from repro.core.scheduler import SequenceScheduler
 from repro.core.simulator import Simulation
@@ -173,19 +173,20 @@ def test_paper_protocols_match_the_step_engine_at_n32(name):
     assert batched_run.configuration.states() == step_run.configuration.states()
 
 
-@pytest.mark.parametrize("name", ["ppl", "yokota2021"])
+@pytest.mark.parametrize("name", ["yokota2021"])
 def test_table_forced_past_its_cap_stays_bit_identical(name, monkeypatch):
     """With the cap tiny the table is rebuilt over and over; a snapshot
-    taken before a rebuild and restored after it resumes exactly."""
+    taken before a rebuild and restored after it resumes exactly.  (``ppl``
+    runs on its stage tables: ``tests/ppl/test_stage_table.py``.)"""
     monkeypatch.setattr(fast_simulator, "MAX_CODED_STATES", 4)
     rebuilds = []
-    rebuild = BatchedSimulation._rebuild
+    rebuild = JointTable._rebuild
 
     def counted(self):
         rebuilds.append(self)
         rebuild(self)
 
-    monkeypatch.setattr(BatchedSimulation, "_rebuild", counted)
+    monkeypatch.setattr(JointTable, "_rebuild", counted)
     _, protocol, population, initial = _trial_ingredients(name)
     rng = RandomSource(17)
     arcs = [population.sample_arc(rng) for _ in range(STREAM_LENGTH)]
@@ -218,7 +219,7 @@ def test_oracle_runs_identically_on_both_engines_past_the_table_cap(monkeypatch)
     step in the same configuration."""
     monkeypatch.setattr(fast_simulator, "MAX_CODED_STATES", 4)
     rebuilds, reports = [], []
-    rebuild = BatchedSimulation._rebuild
+    rebuild = JointTable._rebuild
     report = OracleOmega.observe_and_report
 
     def counted_rebuild(self):
@@ -230,7 +231,7 @@ def test_oracle_runs_identically_on_both_engines_past_the_table_cap(monkeypatch)
         reports.append(fired)
         return fired
 
-    monkeypatch.setattr(BatchedSimulation, "_rebuild", counted_rebuild)
+    monkeypatch.setattr(JointTable, "_rebuild", counted_rebuild)
     monkeypatch.setattr(OracleOmega, "observe_and_report", counted_report)
     spec, protocol, population, _ = _trial_ingredients("fischer-jiang")
     n = population.size
@@ -357,19 +358,20 @@ def test_backoff_schedule_is_identical_across_all_engines():
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.parametrize("name", ["ppl", "yokota2021"])
+@pytest.mark.parametrize("name", ["yokota2021"])
 def test_backoff_schedule_survives_table_rebuilds(name, monkeypatch):
-    """The doubling check schedule on the paper protocols, with the table
-    rebuilt mid-run, stops where the step loop stops."""
+    """The doubling check schedule on the [28] baseline, with the table
+    rebuilt mid-run, stops where the step loop stops.  (``ppl`` runs on its
+    stage tables: ``tests/ppl/test_stage_table.py``.)"""
     monkeypatch.setattr(fast_simulator, "MAX_CODED_STATES", 4)
     rebuilds = []
-    rebuild = BatchedSimulation._rebuild
+    rebuild = JointTable._rebuild
 
     def counted(self):
         rebuilds.append(self)
         rebuild(self)
 
-    monkeypatch.setattr(BatchedSimulation, "_rebuild", counted)
+    monkeypatch.setattr(JointTable, "_rebuild", counted)
     spec, protocol, population, initial = _trial_ingredients(name)
     predicate = spec.build_stop_predicate(protocol, population)
     runs = [
