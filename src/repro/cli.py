@@ -413,14 +413,15 @@ def _require_auto_engine(args: argparse.Namespace) -> None:
     """Reject engine tuning flags on commands that drive bespoke simulations.
 
     The detection/elimination/orientation/figure/demo experiments construct
-    their own step-engine simulations (trajectories, custom stop conditions)
-    with their own run_until cadence; silently ignoring an explicit
-    ``--engine`` or ``--check-backoff`` there would misreport what actually
-    ran.
+    their own simulations (trajectories, custom stop conditions) on a fixed
+    engine — the table engine for ``figure1`` and ``demo``, the step loop
+    for the rest — with their own run_until cadence; silently ignoring an
+    explicit ``--engine`` or ``--check-backoff`` there would misreport what
+    actually ran.
     """
     if args.engine != "auto":
         raise CommandError(
-            f"{args.command!r} drives bespoke step-engine simulations; "
+            f"{args.command!r} drives bespoke simulations on a fixed engine; "
             "--engine does not apply (supported by: run, table1, scaling)"
         )
     if args.check_backoff:
@@ -1125,7 +1126,7 @@ def _cmd_figure2(args: argparse.Namespace) -> CommandOutput:
 
 def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
     _require_auto_engine(args)
-    from repro import DirectedRing, PPLProtocol, Simulation
+    from repro import BatchedSimulation, DirectedRing, PPLProtocol
     from repro.protocols.ppl import adversarial_configuration, is_safe, summary
 
     config = _config_from_args(args)
@@ -1133,7 +1134,7 @@ def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
     protocol = PPLProtocol.for_population(n, kappa_factor=config.kappa_factor)
     ring = DirectedRing(n)
     start = adversarial_configuration(n, protocol.params, rng=config.seed)
-    simulation = Simulation(protocol, ring, start, rng=config.seed + 1)
+    simulation = BatchedSimulation(protocol, ring, start, rng=config.seed + 1)
     start_summary = summary(simulation.states(), protocol.params)
     result = simulation.run_until(
         lambda states: is_safe(states, protocol.params),

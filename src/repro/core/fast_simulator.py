@@ -117,12 +117,12 @@ class JointTable(Generic[StateT]):
     A state gets a code the first time it is seen
     (:func:`~repro.core.encoding.state_key`), and a ``(code_i, code_r)``
     pair calls ``protocol.transition`` only on its first occurrence; every
-    repeat is one dict lookup.  Once :data:`MAX_CODED_STATES` states have
-    been coded since the table was built, the next miss rebuilds it from the
-    agents' current states.
+    repeat is one dict lookup.  The table is first built from the initial
+    states; once :data:`MAX_CODED_STATES` states have been coded since the
+    last build, the next miss rebuilds it from the agents' current states.
     """
 
-    def __init__(self, protocol: Protocol[StateT], size: int) -> None:
+    def __init__(self, protocol: Protocol[StateT], initial: Sequence[StateT]) -> None:
         self._protocol = protocol
         self._coded: List[StateT] = []  # code -> state
         self._index: Dict[Hashable, int] = {}  # state key -> code
@@ -130,11 +130,12 @@ class JointTable(Generic[StateT]):
         self._table: Dict[int, _Entry] = {}  # code_i * stride + code_r -> entry
         self._max_new = MAX_CODED_STATES
         # A build codes at most n states and at most max_new + 1 follow it.
-        self._stride = size + self._max_new + 2
-        self._rebuild_at = self._max_new
-        self._codes: List[int] = []
+        self._stride = len(initial) + self._max_new + 2
+        self._codes: List[int] = [self._intern(state) for state in initial]
+        self._rebuild_at = len(self._coded) + self._max_new
+        flags = self._leader_flags
         #: The number of agents in a leader state.
-        self.leaders = 0
+        self.leaders = sum(flags[code] for code in self._codes)
 
     def code(self, states: Sequence[StateT]) -> None:
         """Hold ``states`` as the agents' codes (rebuilding if that passes
@@ -253,9 +254,12 @@ class BatchedSimulation(Generic[StateT]):
         # The agents' states, held as codes by the protocol's own coded
         # table or by the joint table; a snapshot captures the states.
         make_table = getattr(protocol, "coded_table", None)
-        self._table: CodedTable[StateT] = (
-            make_table() if make_table is not None else JointTable(protocol, population.size))
-        self._table.code(initial.states())
+        self._table: CodedTable[StateT]
+        if make_table is not None:
+            self._table = make_table()
+            self._table.code(initial.states())
+        else:
+            self._table = JointTable(protocol, initial.states())
         self._scheduler = scheduler
         self._rng = None if scheduler is not None else ensure_source(rng)
         self._oracle = oracle

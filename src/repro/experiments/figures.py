@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.scheduler import SequenceScheduler, token_round_trip
+from repro.core.fast_simulator import BatchedSimulation
 from repro.core.simulator import Simulation
 from repro.api.config import ExperimentConfig
 from repro.experiments.reporting import format_series
@@ -50,12 +51,16 @@ class Figure1Result:
 def regenerate_figure1(n: int = 15, kappa_factor: int = 4, max_steps: int = 2_000_000,
                        seed: int = 7,
                        check_interval: Optional[int] = None) -> Figure1Result:
-    """Run the construction phase until the configuration is perfect and render it."""
+    """Run the construction phase until the configuration is perfect and render it.
+
+    The run needs no per-interaction observer, so it uses the table engine
+    (bit-identical to the step loop for the same seed).
+    """
     protocol = PPLProtocol.for_population(n, kappa_factor=kappa_factor)
     params = protocol.params
     ring = DirectedRing(n)
     start = single_leader_unconstructed(n, params)
-    simulation = Simulation(protocol, ring, start, rng=seed)
+    simulation = BatchedSimulation(protocol, ring, start, rng=seed)
     run = simulation.run_until(
         lambda states: is_perfect(states, params),
         max_steps=max_steps,

@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError
+from repro.core.fast_simulator import BatchedSimulation
 from repro.core.simulator import Simulation
 from repro.protocols.orientation.por import (
     PORProtocol,
@@ -106,10 +107,15 @@ class OrientedRingPipeline:
         return result.configuration, result.steps
 
     def run_election_phase(self, max_steps: int) -> "tuple[Configuration, int]":
-        """Phase 3: run ``P_PL`` on the induced directed ring from an adversarial start."""
+        """Phase 3: run ``P_PL`` on the induced directed ring from an adversarial start.
+
+        ``P_PL`` runs on the table engine (bit-identical to the step loop for
+        the same seed); the first two phases keep the step loop, because
+        the coloring protocol draws its own random numbers.
+        """
         protocol = PPLProtocol.for_population(self.n, kappa_factor=self.kappa_factor)
         start = adversarial_configuration(self.n, protocol.params, rng=self.seed + 31)
-        simulation = Simulation(protocol, self.directed_ring, start, rng=self.seed + 32)
+        simulation = BatchedSimulation(protocol, self.directed_ring, start, rng=self.seed + 32)
         result = simulation.run_until(
             lambda states: is_safe(states, protocol.params),
             max_steps=max_steps,

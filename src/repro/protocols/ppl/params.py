@@ -104,16 +104,16 @@ class PPLParams:
         return 1 + positions * 4
 
     def segment_domain_size(self) -> int:
-        """Values of ``(leader, b, dist, last, token_b, token_w)``."""
-        return 2 * 2 * self.dist_modulus * 2 * self.token_domain_size() ** 2
+        """Values of ``(b, dist, last, token_b, token_w)``."""
+        return 2 * self.dist_modulus * 2 * self.token_domain_size() ** 2
 
     def timer_domain_size(self) -> int:
         """Values of ``(mode, clock, hits, signal_r)``."""
         return 2 * (self.kappa_max + 1) * (self.psi + 1) * (self.kappa_max + 1)
 
     def war_domain_size(self) -> int:
-        """Values of ``(bullet, shield, signal_b)``."""
-        return 3 * 2 * 2
+        """Values of ``(leader, bullet, shield, signal_b)``."""
+        return 2 * 3 * 2 * 2
 
     def state_space_size(self) -> int:
         """Total number of per-agent states of ``P_PL`` (product of variable domains).

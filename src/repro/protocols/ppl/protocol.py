@@ -18,16 +18,9 @@ from typing import Iterable, Tuple
 
 from repro.core.protocol import LeaderElectionProtocol
 from repro.core.rng import RandomSource
+from repro.protocols.ppl.determine_mode import determine_mode
 from repro.protocols.ppl.params import PPLParams
-from repro.protocols.ppl.stages import (
-    SEGMENT,
-    TIMERS,
-    WAR,
-    StageTable,
-    segment_stage,
-    timer_stage,
-    war_stage,
-)
+from repro.protocols.ppl.stages import StageTable, segment_stage, war_stage
 from repro.protocols.ppl.state import PPLState, random_state, validate_state
 
 #: Builds a state from a tuple of its 13 field values; it skips the
@@ -56,23 +49,39 @@ class PPLProtocol(LeaderElectionProtocol[PPLState]):
     def transition(self, initiator: PPLState, responder: PPLState) -> Tuple[PPLState, PPLState]:
         """Algorithm 1: ``CreateLeader()`` then ``EliminateLeaders()``.
 
-        The composition of the three stages of :mod:`repro.protocols.ppl.stages`
-        in the paper's order: Algorithm 2 line 3 on the timers, lines 4-9
-        and lines 10 and 11 on the segment fields, then leader creation and
-        Algorithm 5 on the war fields.  :class:`StageTable` memoizes the
+        Each state is unpacked once, and the three stages of
+        :mod:`repro.protocols.ppl.stages` run in the paper's order on the
+        field values: Algorithm 2 line 3 (Algorithm 4) on the timers, lines
+        4-9 and lines 10 and 11 on the segment fields, then leader creation
+        and Algorithm 5 on the war fields.  :class:`StageTable` memoizes the
         same three functions, so this is the table engine's reference too.
         """
-        l_timers, r_timers = timer_stage(initiator[0], initiator[TIMERS], responder[TIMERS],
-                                         self._psi, self._kappa_max)
-        l_segment, r_segment, created = segment_stage(
-            initiator[SEGMENT], responder[SEGMENT], r_timers[0],
-            self._psi, self._dist_modulus)
-        l_war, r_war, r_leader = war_stage(initiator[0], initiator[WAR], r_segment[0],
-                                           responder[WAR], created)
-        if r_leader != r_segment[0]:
-            r_segment = (r_leader,) + r_segment[1:]
-        return (_new_state(PPLState, l_segment + l_timers + l_war),
-                _new_state(PPLState, r_segment + r_timers + r_war))
+        (l_leader, l_b, l_dist, l_last, l_token_b, l_token_w, l_mode, l_clock,
+         l_hits, l_signal_r, l_bullet, l_shield, l_signal_b) = initiator
+        (r_leader, r_b, r_dist, r_last, r_token_b, r_token_w, r_mode, r_clock,
+         r_hits, r_signal_r, r_bullet, r_shield, r_signal_b) = responder
+        psi = self._psi
+        (l_hits, l_clock, l_signal_r, l_mode,
+         r_hits, r_clock, r_signal_r, r_mode) = determine_mode(
+            l_leader, l_clock, l_signal_r, r_clock, r_hits, r_signal_r,
+            psi, self._kappa_max)
+        (l_last, l_token_b, l_token_w, r_b, r_dist, r_token_b, r_token_w,
+         created) = segment_stage(
+            l_b, l_dist, l_last, l_token_b, l_token_w,
+            r_leader, r_b, r_dist, r_last, r_token_b, r_token_w, r_mode,
+            psi, self._dist_modulus)
+        (l_bullet, l_shield, l_signal_b,
+         r_leader, r_bullet, r_shield, r_signal_b) = war_stage(
+            l_leader, l_bullet, l_shield, l_signal_b,
+            r_leader, r_bullet, r_shield, r_signal_b, created)
+        return (
+            _new_state(PPLState, (l_leader, l_b, l_dist, l_last, l_token_b, l_token_w,
+                                  l_mode, l_clock, l_hits, l_signal_r, l_bullet,
+                                  l_shield, l_signal_b)),
+            _new_state(PPLState, (r_leader, r_b, r_dist, r_last, r_token_b, r_token_w,
+                                  r_mode, r_clock, r_hits, r_signal_r, r_bullet,
+                                  r_shield, r_signal_b)),
+        )
 
     def coded_table(self) -> StageTable:
         """The table engine's coded table for this protocol: three stage

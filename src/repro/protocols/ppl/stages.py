@@ -1,26 +1,31 @@
 """Algorithm 1 as three stages over the components of a state, and ``P_PL``'s
 coded table.
 
-A ``P_PL`` state is the concatenation of three components, each read and
-written by one stage of Algorithm 1 (DESIGN.md §1.5):
+A ``P_PL`` state is the union of three components, each written by one stage
+of Algorithm 1 (DESIGN.md §1.5), in this order:
 
-==========  ===========================================  ===================
-component   fields (``PPLState`` order)                  stage
-==========  ===========================================  ===================
-segment     ``leader, b, dist, last, token_b, token_w``  :func:`segment_stage`
-timers      ``mode, clock, hits, signal_r``              :func:`timer_stage`
-war         ``bullet, shield, signal_b``                 :func:`war_stage`
-==========  ===========================================  ===================
+==========  ======================================  ==========================================
+component   fields                                  stage
+==========  ======================================  ==========================================
+timers      ``mode, clock, hits, signal_r``         Algorithm 2 line 3, which is Algorithm 4:
+                                                    :func:`~repro.protocols.ppl.determine_mode.determine_mode`
+segment     ``b, dist, last, token_b, token_w``     Algorithm 2 lines 4-9, then Algorithm 3:
+                                                    :func:`segment_stage`
+war         ``leader, bullet, shield, signal_b``    leader creation, then Algorithm 5:
+                                                    :func:`war_stage`
+==========  ======================================  ==========================================
 
+Like the algorithms' functions, the stages take and return field values.
 :meth:`PPLProtocol.transition <repro.protocols.ppl.protocol.PPLProtocol.transition>`
-is the composition of the three stages, and :class:`StageTable` memoizes
-each stage on its own, so the table engine runs ``P_PL`` as a product of
-three small tables instead of one table over 13-field states, which
-Algorithm 4's timers keep filling with new states.
+is their composition, and :class:`StageTable` memoizes each stage on its
+own, so the table engine runs ``P_PL`` as a product of three small tables
+instead of one table over 13-field states, which Algorithm 4's timers keep
+filling with new states.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.errors import StateSpaceError
@@ -29,12 +34,12 @@ from repro.protocols.ppl.determine_mode import determine_mode
 from repro.protocols.ppl.eliminate_leaders import eliminate_leaders
 from repro.protocols.ppl.move_token import move_token
 from repro.protocols.ppl.params import MODE_CONSTRUCT, MODE_DETECT, PPLParams
-from repro.protocols.ppl.state import BULLET_LIVE, PPLState
+from repro.protocols.ppl.state import BULLET_LIVE, PPLState, Token
 
-#: The component a state's fields belong to, as slices of a ``PPLState``.
-SEGMENT = slice(0, 6)
-TIMERS = slice(6, 10)
-WAR = slice(10, 13)
+#: A state's component values, in ``PPLState`` field order.
+_timers_of = itemgetter(6, 7, 8, 9)
+_segment_of = itemgetter(1, 2, 3, 4, 5)
+_war_of = itemgetter(0, 10, 11, 12)
 
 #: Memory bound of each stage table: a table holding this many entries is
 #: emptied before its next entry.  Read when a table is constructed.
@@ -45,33 +50,19 @@ MAX_STAGE_ENTRIES = 4096
 _new_state = tuple.__new__
 
 
-def timer_stage(l_leader: int, l_timers: tuple, r_timers: tuple,
-                psi: int, kappa_max: int) -> Tuple[tuple, tuple]:
-    """Algorithm 2 line 3, which is Algorithm 4, on the timer components.
-
-    Returns both agents' new ``(mode, clock, hits, signal_r)``.  Reads the
-    initiator's leader flag, and never either input ``mode`` or the
-    initiator's ``hits``.
-    """
-    _, l_clock, _, l_signal_r = l_timers
-    _, r_clock, r_hits, r_signal_r = r_timers
-    (l_hits, l_clock, l_signal_r, l_mode,
-     r_hits, r_clock, r_signal_r, r_mode) = determine_mode(
-        l_leader, l_clock, l_signal_r, r_clock, r_hits, r_signal_r, psi, kappa_max)
-    return (l_mode, l_clock, l_hits, l_signal_r), (r_mode, r_clock, r_hits, r_signal_r)
-
-
-def segment_stage(l_segment: tuple, r_segment: tuple, r_mode: str,
-                  psi: int, dist_modulus: int) -> Tuple[tuple, tuple, bool]:
+def segment_stage(l_b: int, l_dist: int, l_last: int, l_token_b: Token, l_token_w: Token,
+                  r_leader: int, r_b: int, r_dist: int, r_last: int, r_token_b: Token,
+                  r_token_w: Token, r_mode: str, psi: int, dist_modulus: int
+                  ) -> Tuple[int, Token, Token, int, int, Token, Token, bool]:
     """Algorithm 2 lines 4-9, then Algorithm 3 with ``d = 0`` and ``d = psi``.
 
-    ``r_mode`` is the responder's mode :func:`timer_stage` wrote.  Returns
-    both agents' new segment components and whether any of the three lines
+    Takes the initiator's segment fields, and the responder's leader flag,
+    segment fields and mode as Algorithm 4 wrote it.  Returns the fields the
+    lines write, ``(l_last, l_token_b, l_token_w, r_b, r_dist, r_token_b,
+    r_token_w, created)``: ``created`` is True when one of the three lines
     that create a leader (Algorithm 2 line 6, Algorithm 3 line 18 for each
-    color) fired; the responder's ``leader`` is then 1.
+    color) fired, which :func:`war_stage` applies.
     """
-    l_leader, l_b, l_dist, l_last, l_token_b, l_token_w = l_segment
-    r_leader, r_b, r_dist, r_last, r_token_b, r_token_w = r_segment
     l_last, r_dist, created = create_leader(
         l_dist, r_leader, r_dist, r_last, r_mode, psi, dist_modulus)
     l_token_b, r_token_b, r_b, created_b = move_token(
@@ -80,33 +71,25 @@ def segment_stage(l_segment: tuple, r_segment: tuple, r_mode: str,
     l_token_w, r_token_w, r_b, created_w = move_token(
         l_dist, l_b, l_last, l_token_w, r_dist, r_b, r_last, r_mode, r_token_w,
         psi, psi, dist_modulus)
-    created = created or created_b or created_w
-    if created:
-        r_leader = 1
-    return ((l_leader, l_b, l_dist, l_last, l_token_b, l_token_w),
-            (r_leader, r_b, r_dist, r_last, r_token_b, r_token_w), created)
+    return (l_last, l_token_b, l_token_w, r_b, r_dist, r_token_b, r_token_w,
+            created or created_b or created_w)
 
 
-def war_stage(l_leader: int, l_war: tuple, r_leader: int, r_war: tuple,
-              created: bool) -> Tuple[tuple, tuple, int]:
-    """The leader-creation assignment, then Algorithm 5, on the war components.
+def war_stage(l_leader: int, l_bullet: int, l_shield: int, l_signal_b: int,
+              r_leader: int, r_bullet: int, r_shield: int, r_signal_b: int,
+              created: bool) -> Tuple[int, int, int, int, int, int, int]:
+    """The leader-creation assignment, then Algorithm 5.
 
-    ``r_leader`` and ``created`` are what :func:`segment_stage` returned.  A
-    new leader fires a live bullet, raises its shield and clears the
-    bullet-absence signal (Algorithm 2 line 6, Algorithm 3 line 18).
-    Returns both agents' new ``(bullet, shield, signal_b)`` and the
-    responder's final leader flag, which the war may clear.
+    ``created`` is what :func:`segment_stage` returned: the new leader fires
+    a live bullet, raises its shield and clears the bullet-absence signal
+    (Algorithm 2 line 6, Algorithm 3 line 18).  Returns the fields
+    Algorithm 5 writes, ``(l_bullet, l_shield, l_signal_b, r_leader,
+    r_bullet, r_shield, r_signal_b)``.
     """
-    l_bullet, l_shield, l_signal_b = l_war
     if created:
-        r_bullet, r_shield, r_signal_b = BULLET_LIVE, 1, 0
-    else:
-        r_bullet, r_shield, r_signal_b = r_war
-    (l_bullet, l_shield, l_signal_b,
-     r_leader, r_bullet, r_shield, r_signal_b) = eliminate_leaders(
-        l_leader, l_bullet, l_shield, l_signal_b,
-        r_leader, r_bullet, r_shield, r_signal_b)
-    return (l_bullet, l_shield, l_signal_b), (r_bullet, r_shield, r_signal_b), r_leader
+        r_leader, r_bullet, r_shield, r_signal_b = 1, BULLET_LIVE, 1, 0
+    return eliminate_leaders(l_leader, l_bullet, l_shield, l_signal_b,
+                             r_leader, r_bullet, r_shield, r_signal_b)
 
 
 class _Codebook:
@@ -140,18 +123,16 @@ class _Codebook:
 class StageTable:
     """``P_PL``'s coded table: three stage tables over component codes.
 
-    Each agent is held as three codes — segment, timers and war — and one
+    Each agent is held as three codes — timers, segment and war — and one
     interaction is three int-keyed lookups, each filled on a miss by one
-    stage function:
+    stage:
 
     * timers, keyed by ``(l.leader, l.timers, r.timers)``, give both new
       timer codes and whether the responder is now detecting;
-    * segments, keyed by ``(l.segment, r.segment, r.mode)``, give both new
-      segment codes (a created leader's ``leader`` already 1) and the
-      creation flag;
-    * war, keyed by ``(l.leader, l.war, r.leader, r.war, created)``, gives
-      both new war codes and whether the war killed the responder, whose
-      segment a lazily filled flip map then re-codes with ``leader = 0``.
+    * segments, keyed by ``(l.segment, r.segment, r.leader, r.mode)``, give
+      both new segment codes and whether a leader was created;
+    * war, keyed by ``(l.war, r.war, created)``, gives both new war codes,
+      the responder's leader flag included.
 
     A step is effective exactly when one of the six codes changed, and the
     leader count moves only by the responder's flag (Algorithm 1 never
@@ -168,18 +149,21 @@ class StageTable:
         self._psi = params.psi
         self._kappa_max = params.kappa_max
         self._dist_modulus = params.dist_modulus
-        self._segment_codes = _Codebook("segment", params.segment_domain_size())
         self._timer_codes = _Codebook("timers", params.timer_domain_size())
+        self._segment_codes = _Codebook("segment", params.segment_domain_size())
         self._war_codes = _Codebook("war", params.war_domain_size())
-        self._leader_of: List[int] = []  # segment code -> its leader flag
+        # War code -> its leader flag, and the war fields before and after
+        # a state's segment and timer fields (for decoding).
+        self._leader_of: List[int] = []
+        self._war_heads: List[tuple] = []
+        self._war_tails: List[tuple] = []
         self._timer_table: Dict[int, Tuple[int, int, int]] = {}
         self._segment_table: Dict[int, Tuple[int, int, int]] = {}
-        self._war_table: Dict[int, Tuple[int, int, int]] = {}
-        self._flips: Dict[int, int] = {}
+        self._war_table: Dict[int, Tuple[int, int]] = {}
         self._max_entries = MAX_STAGE_ENTRIES
-        # Agent -> its segment, timer and war code.
-        self._segments: List[int] = []
+        # Agent -> its timer, segment and war code.
         self._timers: List[int] = []
+        self._segments: List[int] = []
         self._wars: List[int] = []
         #: The number of agents in a leader state.
         self.leaders = 0
@@ -189,25 +173,28 @@ class StageTable:
     # ------------------------------------------------------------------ #
     def code(self, states: Sequence[PPLState]) -> None:
         """Hold ``states`` as the agents' codes, and count their leaders."""
-        segment_code = self._segment_code
-        self._segments = [segment_code(state[SEGMENT]) for state in states]
-        self._timers = [self._timer_codes.code(state[TIMERS]) for state in states]
-        self._wars = [self._war_codes.code(state[WAR]) for state in states]
+        timer_code = self._timer_codes.code
+        segment_code = self._segment_codes.code
+        war_code = self._war_code
+        self._timers = [timer_code(_timers_of(state)) for state in states]
+        self._segments = [segment_code(_segment_of(state)) for state in states]
+        self._wars = [war_code(_war_of(state)) for state in states]
         leader_of = self._leader_of
-        self.leaders = sum(leader_of[code] for code in self._segments)
+        self.leaders = sum(leader_of[code] for code in self._wars)
 
     def view(self) -> List[PPLState]:
         """The agents' states, decoded afresh."""
+        heads, tails = self._war_heads, self._war_tails
         segments = self._segment_codes.values
         timers = self._timer_codes.values
-        wars = self._war_codes.values
-        return [_new_state(PPLState, segments[segment] + timers[timer] + wars[war])
-                for segment, timer, war in zip(self._segments, self._timers, self._wars)]
+        return [_new_state(PPLState, heads[war] + segments[segment] + timers[timer]
+                           + tails[war])
+                for timer, segment, war in zip(self._timers, self._segments, self._wars)]
 
     def apply(self, arcs: Sequence[Tuple[int, int]], counts: List[int]) -> int:
         """Run the interactions of ``arcs`` in order, count each agent's in
         ``counts`` and return how many changed some state."""
-        segments, timers, wars = self._segments, self._timers, self._wars
+        timers, segments, wars = self._timers, self._segments, self._wars
         leader_of = self._leader_of
         timer_stride = self._timer_codes.stride
         segment_stride = self._segment_codes.stride
@@ -215,37 +202,32 @@ class StageTable:
         timer_entry = self._timer_table.get
         segment_entry = self._segment_table.get
         war_entry = self._war_table.get
-        flipped = self._flips.get
         effective = 0
         leaders = self.leaders
         for initiator, responder in arcs:
-            l_segment = segments[initiator]
-            r_segment = segments[responder]
             l_timer = timers[initiator]
             r_timer = timers[responder]
-            l_leader = leader_of[l_segment]
+            l_war = wars[initiator]
+            r_war = wars[responder]
+            l_leader = leader_of[l_war]
             key = (l_timer * timer_stride + r_timer) * 2 + l_leader
             entry = timer_entry(key)
             if entry is None:
                 entry = self._fill_timers(key, l_leader, l_timer, r_timer)
             new_l_timer, new_r_timer, detect = entry
-            key = (l_segment * segment_stride + r_segment) * 2 + detect
+            l_segment = segments[initiator]
+            r_segment = segments[responder]
+            r_leader = leader_of[r_war]
+            key = ((l_segment * segment_stride + r_segment) * 2 + r_leader) * 2 + detect
             entry = segment_entry(key)
             if entry is None:
-                entry = self._fill_segments(key, l_segment, r_segment, detect)
+                entry = self._fill_segments(key, l_segment, r_segment, r_leader, detect)
             new_l_segment, new_r_segment, created = entry
-            l_war = wars[initiator]
-            r_war = wars[responder]
-            r_leader = leader_of[new_r_segment]
-            key = (((l_war * war_stride + r_war) * 2 + l_leader) * 2 + r_leader) * 2 + created
+            key = (l_war * war_stride + r_war) * 2 + created
             entry = war_entry(key)
             if entry is None:
-                entry = self._fill_war(key, l_war, r_war, l_leader, r_leader, created)
-            new_l_war, new_r_war, killed = entry
-            if killed:
-                entry = flipped(new_r_segment)
-                new_r_segment = (self._fill_flip(new_r_segment) if entry is None
-                                 else entry)
+                entry = self._fill_war(key, l_war, r_war, created)
+            new_l_war, new_r_war = entry
             if (new_l_timer != l_timer or new_r_timer != r_timer
                     or new_l_segment != l_segment or new_r_segment != r_segment
                     or new_l_war != l_war or new_r_war != r_war):
@@ -256,7 +238,7 @@ class StageTable:
                 segments[responder] = new_r_segment
                 wars[initiator] = new_l_war
                 wars[responder] = new_r_war
-                leaders += leader_of[new_r_segment] - leader_of[r_segment]
+                leaders += leader_of[new_r_war] - r_leader
             counts[initiator] += 1
             counts[responder] += 1
         self.leaders = leaders
@@ -265,10 +247,12 @@ class StageTable:
     # ------------------------------------------------------------------ #
     # Filling the tables (the misses)
     # ------------------------------------------------------------------ #
-    def _segment_code(self, value: tuple) -> int:
-        code = self._segment_codes.code(value)
+    def _war_code(self, value: tuple) -> int:
+        code = self._war_codes.code(value)
         if code == len(self._leader_of):
             self._leader_of.append(value[0])
+            self._war_heads.append(value[:1])
+            self._war_tails.append(value[1:])
         return code
 
     def _clear(self, table: Dict) -> None:
@@ -284,30 +268,41 @@ class StageTable:
     def _fill_timers(self, key: int, l_leader: int, l_timer: int,
                      r_timer: int) -> Tuple[int, int, int]:
         codes = self._timer_codes
-        l_value, r_value = timer_stage(l_leader, codes.values[l_timer],
-                                       codes.values[r_timer], self._psi, self._kappa_max)
+        _, l_clock, _, l_signal_r = codes.values[l_timer]
+        _, r_clock, r_hits, r_signal_r = codes.values[r_timer]
+        (l_hits, l_clock, l_signal_r, l_mode,
+         r_hits, r_clock, r_signal_r, r_mode) = determine_mode(
+            l_leader, l_clock, l_signal_r, r_clock, r_hits, r_signal_r,
+            self._psi, self._kappa_max)
         return self._store(self._timer_table, key, (
-            codes.code(l_value), codes.code(r_value), int(r_value[0] == MODE_DETECT)))
+            codes.code((l_mode, l_clock, l_hits, l_signal_r)),
+            codes.code((r_mode, r_clock, r_hits, r_signal_r)),
+            int(r_mode == MODE_DETECT)))
 
     def _fill_segments(self, key: int, l_segment: int, r_segment: int,
-                       detect: int) -> Tuple[int, int, int]:
-        values = self._segment_codes.values
-        l_value, r_value, created = segment_stage(
-            values[l_segment], values[r_segment],
+                       r_leader: int, detect: int) -> Tuple[int, int, int]:
+        codes = self._segment_codes
+        l_b, l_dist, l_last, l_token_b, l_token_w = codes.values[l_segment]
+        r_b, r_dist, r_last, r_token_b, r_token_w = codes.values[r_segment]
+        (l_last, l_token_b, l_token_w, r_b, r_dist, r_token_b, r_token_w,
+         created) = segment_stage(
+            l_b, l_dist, l_last, l_token_b, l_token_w,
+            r_leader, r_b, r_dist, r_last, r_token_b, r_token_w,
             MODE_DETECT if detect else MODE_CONSTRUCT, self._psi, self._dist_modulus)
         return self._store(self._segment_table, key, (
-            self._segment_code(l_value), self._segment_code(r_value), int(created)))
+            codes.code((l_b, l_dist, l_last, l_token_b, l_token_w)),
+            codes.code((r_b, r_dist, r_last, r_token_b, r_token_w)),
+            int(created)))
 
-    def _fill_war(self, key: int, l_war: int, r_war: int, l_leader: int,
-                  r_leader: int, created: int) -> Tuple[int, int, int]:
-        codes = self._war_codes
-        l_value, r_value, final_leader = war_stage(
-            l_leader, codes.values[l_war], r_leader, codes.values[r_war], created)
+    def _fill_war(self, key: int, l_war: int, r_war: int,
+                  created: int) -> Tuple[int, int]:
+        values = self._war_codes.values
+        l_leader, l_bullet, l_shield, l_signal_b = values[l_war]
+        r_leader, r_bullet, r_shield, r_signal_b = values[r_war]
+        (l_bullet, l_shield, l_signal_b,
+         r_leader, r_bullet, r_shield, r_signal_b) = war_stage(
+            l_leader, l_bullet, l_shield, l_signal_b,
+            r_leader, r_bullet, r_shield, r_signal_b, created)
         return self._store(self._war_table, key, (
-            codes.code(l_value), codes.code(r_value), int(final_leader != r_leader)))
-
-    def _fill_flip(self, segment: int) -> int:
-        """The code of ``segment``'s value with ``leader = 0`` (a killed leader)."""
-        flipped = self._flips[segment] = self._segment_code(
-            (0,) + self._segment_codes.values[segment][1:])
-        return flipped
+            self._war_code((l_leader, l_bullet, l_shield, l_signal_b)),
+            self._war_code((r_leader, r_bullet, r_shield, r_signal_b))))

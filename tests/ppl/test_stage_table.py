@@ -44,10 +44,12 @@ def _one_interaction(table: StageTable, initiator, responder):
 
 
 def _variants(initiator, responder, kappa_max: int):
-    """The drawn pair, then the same segments and wars with the responder's
-    timers set to detect (clock saturated, no signal) and to construct: a
-    segment stage keyed without the responder's mode mixes the two up."""
+    """The drawn pair, the same pair with the responder's leader flag
+    flipped, then the same segments and wars with the responder's timers set
+    to detect (clock saturated, no signal) and to construct: a segment stage
+    keyed without the responder's leader flag or mode mixes them up."""
     yield initiator, responder
+    yield initiator, responder._replace(leader=1 - responder.leader)
     quiet = initiator._replace(signal_r=0)
     yield quiet, responder._replace(clock=kappa_max, signal_r=0, hits=0)
     yield quiet, responder._replace(clock=0, signal_r=0, hits=0)
@@ -71,7 +73,7 @@ def test_one_interaction_through_the_stage_tables_is_transition(psi, kappa_facto
             assert delta == expected[1].leader - responder.leader
             detected += expected[1].mode == "D"
             killed += responder.leader == 1 and expected[1].leader == 0
-    assert detected and killed  # both the mode key and the flip map were used
+    assert detected and killed  # the mode key and the war's kill were both used
     assert all(len(stage) <= stages.MAX_STAGE_ENTRIES for stage in _stage_tables(table))
 
 

@@ -241,8 +241,8 @@ def test_states_the_table_cannot_code_are_a_usage_error(capsys):
 
 
 def test_bespoke_simulation_commands_reject_engine_flag(capsys):
-    """Commands that drive their own step-engine simulations must refuse the
-    flag rather than silently ignore the user's engine choice."""
+    """Commands that drive their own simulations on a fixed engine must
+    refuse the flag rather than silently ignore the user's engine choice."""
     for command in ("detection", "elimination", "orientation", "figure1", "demo"):
         with pytest.raises(SystemExit):
             main([command, "--sizes", "8", "--engine", "batched"])
