@@ -19,6 +19,7 @@ from repro.api import ExperimentConfig, experiment, get_spec, list_specs, run_sp
 from repro.api.registry import resolve_engine
 from repro.core import fast_simulator
 from repro.core.configuration import Configuration
+from repro.core.encoding import state_key
 from repro.core.errors import InvalidParameterError, ScheduleExhaustedError
 from repro.core.fast_simulator import ENGINES, BatchedSimulation, JointTable
 from repro.core.rng import RandomSource
@@ -171,6 +172,27 @@ def test_paper_protocols_match_the_step_engine_at_n32(name):
         predicate, max_steps=400_000, check_interval=128)
     assert (batched_run.satisfied, batched_run.steps) == (step_run.satisfied, step_run.steps)
     assert batched_run.configuration.states() == step_run.configuration.states()
+
+
+def test_the_joint_table_is_first_built_from_the_initial_states(monkeypatch):
+    """The initial states do not count against the cap: with more distinct
+    starting states than the cap, building the engine rebuilds nothing."""
+    monkeypatch.setattr(fast_simulator, "MAX_CODED_STATES", 4)
+    rebuilds = []
+    rebuild = JointTable._rebuild
+
+    def counted(self):
+        rebuilds.append(self)
+        rebuild(self)
+
+    monkeypatch.setattr(JointTable, "_rebuild", counted)
+    _, protocol, population, initial = _trial_ingredients("yokota2021")
+    distinct = {state_key(state) for state in initial.states()}
+    assert len(distinct) > fast_simulator.MAX_CODED_STATES
+    batched = BatchedSimulation(protocol, population, initial, rng=3)
+    assert not rebuilds
+    batched.run(STREAM_LENGTH)
+    assert rebuilds  # the cap still bounds the states coded after the build
 
 
 @pytest.mark.parametrize("name", ["yokota2021"])
