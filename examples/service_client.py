@@ -18,11 +18,10 @@ Run:  python examples/service_client.py [--url http://host:port]
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
 import tempfile
-import threading
 
+from repro.fabric import JsonHttpServer
 from repro.service import ExperimentServer, JobManager, ServiceClient, WarmPool
 from repro.store import ResultsStore
 
@@ -35,28 +34,6 @@ PAYLOAD = {
 }
 
 
-def start_background_service() -> str:
-    """A service on an ephemeral port in a daemon thread; returns its URL."""
-    store = ResultsStore(tempfile.mkdtemp(prefix="repro-service-"))
-    ready = threading.Event()
-    url: list = []
-
-    def run() -> None:
-        async def serve() -> None:
-            manager = JobManager(backend=WarmPool(workers=0), store=store)
-            server = ExperimentServer(manager)
-            await server.start("127.0.0.1", 0)
-            url.append(f"http://127.0.0.1:{server.port}")
-            ready.set()
-            await server.serve_forever()
-
-        asyncio.run(serve())
-
-    threading.Thread(target=run, daemon=True).start()
-    ready.wait(timeout=10)
-    return url[0]
-
-
 def show_progress(status: dict) -> None:
     progress = status["progress"]
     print(f"  state={status['state']}  points "
@@ -66,7 +43,22 @@ def show_progress(status: dict) -> None:
 
 
 def main(base_url: str | None = None) -> int:
-    client = ServiceClient(base_url or start_background_service())
+    if base_url is not None:
+        return tour(ServiceClient(base_url))
+    # An in-process service on an ephemeral port, its store in a temporary
+    # directory; the server answers from its own threads.
+    with tempfile.TemporaryDirectory(prefix="repro-service-") as root:
+        manager = JobManager(backend=WarmPool(workers=0),
+                             store=ResultsStore(root))
+        server = JsonHttpServer(ExperimentServer(manager)).start()
+        try:
+            return tour(ServiceClient(server.url))
+        finally:
+            server.close()
+            manager.close()
+
+
+def tour(client: ServiceClient) -> int:
     info = client.info()
     print(f"service: {info['service']} "
           f"(pool: {info['pool_workers']} worker(s))")

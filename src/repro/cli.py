@@ -20,7 +20,7 @@ protocol registered there is runnable with no CLI edits:
   (closure, stabilization reachability, livelock freedom; see
   :mod:`repro.check`)
 * ``repro-ssle cache``        — inspect/clear the content-addressed results store
-* ``repro-ssle serve``        — the async experiment service: a job-lifecycle
+* ``repro-ssle serve``        — the experiment service: a job-lifecycle
   HTTP/JSON API over one warm, shared worker pool (see
   :mod:`repro.service`)
 * ``repro-ssle store-serve``  — put a results-store directory on the wire
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve", parents=[storage, fmt],
-        help="run the async experiment service (HTTP/JSON job-lifecycle "
-             "API over one warm worker pool)",
+        help="run the experiment service (HTTP/JSON job-lifecycle API "
+             "over one warm worker pool)",
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="interface to bind (default: 127.0.0.1)")
@@ -927,17 +927,12 @@ def _cmd_cache(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_serve(args: argparse.Namespace) -> CommandOutput:
-    import asyncio
-
     from repro.service.http import serve
 
     store = _store_from_args(args)
     try:
-        asyncio.run(serve(
-            host=args.host, port=args.port, workers=args.workers,
-            store=store, max_jobs=args.max_jobs,
-            announce=lambda line: print(line, file=sys.stderr, flush=True),
-        ))
+        serve(host=args.host, port=args.port, workers=args.workers,
+              store=store, max_jobs=args.max_jobs, announce=_announce)
     except KeyboardInterrupt:
         pass  # ^C is the intended way to stop a foreground service
     return "experiment service stopped", {

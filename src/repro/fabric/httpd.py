@@ -1,15 +1,18 @@
-"""Minimal threaded JSON-over-HTTP server base for the fabric daemons.
+"""Minimal threaded JSON-over-HTTP server shared by the repo's three daemons.
 
-The experiment service (PR 6) is asyncio because its handlers await job
-state; the fabric's two daemons — store server and coordinator — are the
-opposite shape: short blocking handlers serialized by a file lock or a
-mutex. ``ThreadingHTTPServer`` fits that exactly and keeps each daemon a
-few dozen lines.
+The experiment service, the store server and the coordinator have one
+shape: short blocking handlers over a table guarded by a mutex or a file
+lock, with any long work (a job's points on the warm pool) running on
+threads of their own. ``ThreadingHTTPServer`` fits that exactly and keeps
+each daemon's HTTP side a few lines.
 
 An *app* is anything with ``handle(method, path, body) -> (status, payload)``
 and an optional ``max_body_bytes`` attribute. The server owns everything
 HTTP: request parsing, body-size limits, JSON encoding, and turning handler
-exceptions into 500s (which clients treat as retryable).
+exceptions into 500s (which clients treat as retryable). A body it refuses
+(a malformed or negative ``Content-Length`` is a 400, an oversized one a
+413, undecodable JSON a 400) also ends the connection: its unread bytes
+must never be parsed as further requests.
 """
 
 from __future__ import annotations
@@ -43,36 +46,46 @@ def _make_handler(app: JsonApp) -> type:
         def log_message(self, format: str, *args: object) -> None:
             pass  # daemons announce themselves once; per-request noise helps no one
 
-        def _respond(self, status: int, payload: Dict[str, object]) -> None:
+        def _respond(self, status: int, payload: Dict[str, object],
+                     close: bool = False) -> None:
             data = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            if close:
+                # Also ends this handler's keep-alive loop.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(data)
 
         def _read_body(self) -> Optional[Dict[str, object]]:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1  # refused below, as a negative length is
+            if length < 0:
+                raise _BodyError(400, f"invalid Content-Length {header!r}")
             if length == 0:
                 return None
             if length > app.max_body_bytes:
                 raise _BodyError(
-                    f"request body too large ({length} bytes; limit "
-                    f"{app.max_body_bytes})")
+                    413, f"request body too large ({length} bytes; limit "
+                         f"{app.max_body_bytes})")
             raw = self.rfile.read(length)
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
-                raise _BodyError("request body is not valid JSON") from None
+                raise _BodyError(400, "request body is not valid JSON") from None
             if not isinstance(payload, dict):
-                raise _BodyError("request body must be a JSON object")
+                raise _BodyError(400, "request body must be a JSON object")
             return payload
 
         def _dispatch(self, method: str) -> None:
             try:
                 body = self._read_body()
             except _BodyError as error:
-                self._respond(400, {"error": str(error)})
+                self._respond(error.status, {"error": str(error)}, close=True)
                 return
             try:
                 status, payload = app.handle(method, self.path, body)
@@ -97,7 +110,11 @@ def _make_handler(app: JsonApp) -> type:
 
 
 class _BodyError(ValueError):
-    """A request body defect the handler reports as a 400."""
+    """A request body the handler refuses, with the status it answers."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class JsonHttpServer:

@@ -1,12 +1,13 @@
 """HTTP/JSON transport with the fabric's retry policy baked in.
 
 One function, :func:`request_json`, covers every remote call the fabric
-makes: it opens a fresh ``http.client`` connection per attempt (a dead
-keep-alive socket is exactly the failure we are defending against), applies
-the policy's per-attempt timeout, and retries on connection errors, 5xx
-responses, and bodies that fail to decode as JSON (a truncated response from
-a dying server looks like the latter). 4xx responses are *not* retried —
-they are the server telling us the request itself is wrong.
+and the experiment service's client make: it opens a fresh ``http.client``
+connection per attempt (a dead keep-alive socket is exactly the failure we
+are defending against), applies the policy's per-attempt timeout, and
+retries on connection errors, 5xx responses, and bodies that fail to decode
+as JSON (a truncated response from a dying server looks like the latter).
+4xx responses are *not* retried — they are the server telling us the
+request itself is wrong.
 
 On exhaustion the behavior splits: if the last attempt produced *any* HTTP
 response (even a 500 or garbage body) the ``(status, payload)`` pair is
@@ -37,14 +38,15 @@ class TransportError(ConnectionError):
 def parse_http_url(url: str, default_port: int = 80) -> Tuple[str, int]:
     """Split ``http://host[:port][/]`` into ``(host, port)``.
 
-    Only plain ``http`` is supported — the fabric is a trusted-network tool
-    (a CI matrix, a lab cluster), not an internet-facing service.
+    Only plain ``http`` is supported — the service and the fabric are
+    trusted-network tools (a CI matrix, a lab cluster), not internet-facing
+    services.
     """
     prefix = "http://"
     if url.startswith("https://"):
         raise ValueError(
-            f"unsupported store/coordinator URL {url!r}: the fabric speaks "
-            "plain http:// only (run it inside a trusted network)")
+            f"unsupported URL {url!r}: the service and the fabric speak "
+            "plain http:// only (run them inside a trusted network)")
     if not url.startswith(prefix):
         raise ValueError(
             f"expected an http:// URL, got {url!r}")

@@ -1,4 +1,4 @@
-"""Async experiment service: a job-lifecycle API over a warm worker pool.
+"""Experiment service: a job-lifecycle API over a warm worker pool.
 
 The package splits into the layers a request passes through:
 
@@ -8,11 +8,12 @@ The package splits into the layers a request passes through:
   ``QUEUED -> RUNNING -> DONE | FAILED | CANCELLED`` state machine;
 - :mod:`repro.service.backend` — the one long-lived process pool every job
   shares (worker imports survive across jobs);
-- :mod:`repro.service.manager` — the asyncio lifecycle brain tying the
-  above to the PR-5 results store;
-- :mod:`repro.service.http` — the stdlib HTTP/JSON surface
-  (``repro-ssle serve``);
-- :mod:`repro.service.client` — the thin stdlib client.
+- :mod:`repro.service.manager` — the lifecycle brain tying the above to
+  the PR-5 results store, one thread per job;
+- :mod:`repro.service.http` — the HTTP/JSON routes (``repro-ssle serve``),
+  served by the threaded server the fabric's daemons share;
+- :mod:`repro.service.client` — the thin stdlib client, on the fabric's
+  retrying transport.
 """
 
 from repro.service.backend import WarmPool

@@ -8,17 +8,15 @@ the service process: jobs submit their trial tasks to it through the same
 :func:`repro.api.executor.run_trials` core the CLI uses (so results are
 bit-identical), and the workers' imports survive from job to job.
 
-Each point runs through :meth:`run_point_async`, which pushes the blocking
-``run_trials`` call onto a worker thread: the asyncio event loop (the HTTP
-API, other jobs' bookkeeping) stays responsive while that thread merely
-waits on pool IPC.  ``workers=0`` is the inline mode — no pool, no threads'
-worth of processes — used by tests and tiny deployments; trials then
-execute serially inside the worker thread.
+Each point runs through :meth:`run_point`, a blocking call made from the
+job's own thread: with a real pool that thread merely waits on pool IPC,
+so the HTTP threads (and other jobs) stay responsive.  ``workers=0`` is the
+inline mode — no pool, no worker processes — used by tests and tiny
+deployments; trials then execute serially on the job's thread.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
@@ -35,7 +33,7 @@ from repro.api.executor import (
 
 
 class WarmPool:
-    """A long-lived process pool plus the thread hand-off jobs run through."""
+    """A long-lived process pool shared by every job's thread."""
 
     def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 0:
@@ -127,15 +125,3 @@ class WarmPool:
                 "on a specific trial. The pool was rebuilt once "
                 f"(rebuilds={self.rebuilds}); giving up on this point."
             ) from error
-
-    async def run_point_async(self, tasks: Sequence[TrialTask], store=None,
-                              on_result: Optional[OnResult] = None,
-                              ) -> List[TrialResult]:
-        """Run one point without blocking the event loop.
-
-        The blocking :meth:`run_point` moves to a thread; with a real pool
-        that thread spends its life waiting on IPC, so the loop keeps
-        serving status requests while trials execute.
-        """
-        return await asyncio.to_thread(self.run_point, tasks, store,
-                                       on_result)

@@ -2,31 +2,33 @@
 
 :class:`ServiceClient` wraps the five HTTP endpoints in direct method
 calls — submit, list, status, result, cancel — plus a :meth:`wait` helper
-that polls a job to a terminal state.  Built on :mod:`http.client` only, so
+that polls a job to a terminal state.  Every request goes through the
+fabric's transport (:func:`repro.fabric.transport.request_json`), so
 scripts (and ``examples/service_client.py``) need nothing beyond the
-standard library; each call opens one short-lived connection, matching the
-server's one-request-per-connection design.
+standard library and share the fabric clients' retry behaviour.
 
 Transport faults ride the fabric's bounded retry/backoff/jitter policy
-(:mod:`repro.fabric.retry`): connection errors and 5xx responses retry
-``retries`` times before surfacing, so a service restarting under a
-supervisor or briefly overloaded does not fail scripts. ``retries=0`` opts
-out (single attempt, pre-fabric behavior). Note the one caveat of retrying
-``submit``: if the *response* to a successful POST is lost, the retry
-submits a second identical job — harmless for experiment jobs (the store
-serves the duplicate's trials), but scripts that must not double-submit
-should pass ``retries=0`` and handle errors themselves.
+(:mod:`repro.fabric.retry`): connection errors, 5xx responses and garbled
+bodies retry ``retries`` times.  A 4xx or a 5xx that persists raises
+:class:`ServiceError`; a service that never answers raises
+:class:`~repro.fabric.transport.TransportError` (a :class:`ConnectionError`
+chained to the last failure), so a service restarting under a supervisor or
+briefly overloaded does not fail scripts. ``retries=0`` opts out (single
+attempt). Note the one caveat of retrying ``submit``: if the *response* to
+a successful POST is lost, the retry submits a second identical job —
+harmless for experiment jobs (the store serves the duplicate's trials), but
+scripts that must not double-submit should pass ``retries=0`` and handle
+errors themselves.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
 import time
 from typing import Dict, List, Optional
-from urllib.parse import quote, urlsplit
+from urllib.parse import quote
 
 from repro.fabric.retry import RetryPolicy
+from repro.fabric.transport import parse_http_url, request_json
 from repro.service.jobs import JobState
 
 
@@ -44,14 +46,7 @@ class ServiceClient:
 
     def __init__(self, base_url: str = "http://127.0.0.1:8642",
                  timeout: float = 60.0, retries: int = 3) -> None:
-        url = urlsplit(base_url if "//" in base_url else f"//{base_url}",
-                       scheme="http")
-        if url.scheme != "http" or not url.hostname:
-            raise ValueError(f"expected an http://host:port URL, got "
-                             f"{base_url!r}")
-        self.host = url.hostname
-        self.port = url.port or 8642
-        self.timeout = timeout
+        self.host, self.port = parse_http_url(base_url, 8642)
         self.policy = RetryPolicy(retries=retries, timeout=timeout)
 
     # ------------------------------------------------------------------ #
@@ -59,12 +54,12 @@ class ServiceClient:
     # ------------------------------------------------------------------ #
     def info(self) -> Dict[str, object]:
         """``GET /`` — service description, pool size, job counts."""
-        return self._request("GET", "/")
+        return self._call("GET", "/")
 
     def submit(self, payload: Dict[str, object]) -> Dict[str, object]:
         """``POST /jobs`` — submit an experiment request; returns the job
         status (its ``id`` is what every other call takes)."""
-        return self._request("POST", "/jobs", body=payload)
+        return self._call("POST", "/jobs", body=payload)
 
     def jobs(self, states: Optional[List[str]] = None,
              ) -> List[Dict[str, object]]:
@@ -72,20 +67,20 @@ class ServiceClient:
         path = "/jobs"
         if states:
             path += "?state=" + quote(",".join(states))
-        return self._request("GET", path)["jobs"]
+        return self._call("GET", path)["jobs"]
 
     def status(self, job_id: str) -> Dict[str, object]:
         """``GET /jobs/{id}`` — lifecycle state plus per-point progress."""
-        return self._request("GET", f"/jobs/{quote(job_id)}")
+        return self._call("GET", f"/jobs/{quote(job_id)}")
 
     def result(self, job_id: str) -> Dict[str, object]:
         """``GET /jobs/{id}/result`` — the full ``run --format json``
         payload (raises :class:`ServiceError` 409 until available)."""
-        return self._request("GET", f"/jobs/{quote(job_id)}/result")
+        return self._call("GET", f"/jobs/{quote(job_id)}/result")
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         """``DELETE /jobs/{id}`` — request cancellation; returns status."""
-        return self._request("DELETE", f"/jobs/{quote(job_id)}")
+        return self._call("DELETE", f"/jobs/{quote(job_id)}")
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll_interval: float = 0.05) -> Dict[str, object]:
@@ -108,50 +103,12 @@ class ServiceClient:
     # ------------------------------------------------------------------ #
     # Transport
     # ------------------------------------------------------------------ #
-    def _attempt(self, method: str, path: str, encoded: Optional[bytes]):
-        """One connection, one exchange: ``(status, payload)`` or raises."""
-        connection = http.client.HTTPConnection(self.host, self.port,
-                                                timeout=self.policy.timeout)
-        try:
-            headers = ({"Content-Type": "application/json"}
-                       if encoded is not None else {})
-            connection.request(method, path, body=encoded, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-        finally:
-            connection.close()
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            payload = {"error": raw.decode("utf-8", "replace")}
-        return response.status, payload
-
-    def _request(self, method: str, path: str, body=None):
-        """The exchange under the retry policy.
-
-        Connection-level failures and 5xx responses retry with backoff;
-        after exhaustion the original exception (or the final
-        :class:`ServiceError`) surfaces unchanged, so pre-retry ``except``
-        clauses keep working.  4xx responses never retry — they mean the
-        request itself is wrong.
-        """
-        encoded = (json.dumps(body).encode("utf-8")
-                   if body is not None else None)
-        last_error: Optional[Exception] = None
-        status, payload = 0, {}
-        for attempt in range(1, self.policy.attempts + 1):
-            try:
-                status, payload = self._attempt(method, path, encoded)
-            except (OSError, http.client.HTTPException) as error:
-                last_error = error
-            else:
-                last_error = None
-                if status < 500:
-                    break
-            if attempt < self.policy.attempts:
-                time.sleep(self.policy.backoff(attempt))
-        if last_error is not None:
-            raise last_error
+    def _call(self, method: str, path: str,
+              body: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+        """One exchange under the retry policy; non-2xx raises
+        :class:`ServiceError` (4xx responses are never retried)."""
+        status, payload = request_json(self.host, self.port, method, path,
+                                       body, policy=self.policy)
         if status >= 400:
             raise ServiceError(status, payload)
         return payload

@@ -1,8 +1,8 @@
-"""The stdlib HTTP/JSON surface of the experiment service.
+"""The HTTP/JSON surface of the experiment service.
 
-A deliberately small HTTP/1.1 server on :func:`asyncio.start_server` — no
-framework, no ``http.server`` thread pool, no new dependencies — exposing
-the pod-style job lifecycle:
+:class:`ExperimentServer` is the service's app on the threaded JSON server
+the fabric's daemons share (:class:`repro.fabric.httpd.JsonHttpServer`),
+exposing the pod-style job lifecycle:
 
 ===========  ======================  ===========================================
 Method       Path                    Meaning
@@ -15,134 +15,49 @@ Method       Path                    Meaning
 ``DELETE``   ``/jobs/{id}``          cancel (in-flight point finishes)
 ===========  ======================  ===========================================
 
-Every response is JSON; errors carry ``{"error": message}`` with the
+Every response is strict JSON; errors carry ``{"error": message}`` with the
 obvious statuses (400 invalid request, 404 unknown job or path, 405 wrong
-method, 409 result not available yet).  One request per connection
-(``Connection: close``): clients here are test harnesses, ``curl``, and the
-thin :mod:`repro.service.client` — simplicity beats keep-alive.
+method, 409 result not available yet, 413 body over the server's limit).
 
-The handler coroutine does no experiment work itself: submissions return the
-moment the job is validated and queued, and all execution happens on the
-:class:`~repro.service.backend.WarmPool` behind the manager, so status
-requests stay fast while the pool is saturated.
+A handler does no experiment work itself: submissions return the moment
+the job is validated and queued, and all execution happens on the job
+threads and the :class:`~repro.service.backend.WarmPool` behind the
+manager, so status requests stay fast while the pool is saturated.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.registry import spec_names
 from repro.experiments.reporting import jsonable
+from repro.fabric.httpd import JsonApp, JsonHttpServer, Response
 from repro.service.backend import WarmPool
 from repro.service.jobs import JobState
 from repro.service.manager import JobManager, UnknownJobError
 from repro.service.requests import ValidationError
 
-#: Hard cap on request-body size: experiment submissions are a few hundred
-#: bytes of JSON, so anything larger is a client error, not a workload.
-MAX_BODY_BYTES = 1 << 20
 
-_REASONS = {200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 409: "Conflict",
-            413: "Payload Too Large", 500: "Internal Server Error"}
-
-
-class ExperimentServer:
-    """The HTTP facade over one :class:`JobManager`."""
+class ExperimentServer(JsonApp):
+    """The service's routes over one :class:`JobManager` (the app behind
+    ``repro-ssle serve``)."""
 
     def __init__(self, manager: JobManager) -> None:
         self.manager = manager
-        self._server: Optional[asyncio.AbstractServer] = None
+
+    def handle(self, method: str, path: str,
+               body: Optional[Dict[str, object]]) -> Response:
+        """Dispatch one request; the payload is sanitised to strict JSON."""
+        status, payload = self._route(method, path, body)
+        return status, jsonable(payload)
 
     # ------------------------------------------------------------------ #
-    # Server lifecycle
+    # Routing (every operation is a table lookup or a queue insertion; the
+    # job threads do the actual work elsewhere)
     # ------------------------------------------------------------------ #
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind and start serving (``port=0`` picks an ephemeral port)."""
-        self._server = await asyncio.start_server(self._handle, host, port)
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful after an ephemeral ``port=0`` start)."""
-        assert self._server is not None, "server not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "server not started"
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self.manager.close()
-
-    # ------------------------------------------------------------------ #
-    # One connection = one request
-    # ------------------------------------------------------------------ #
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            status, payload = await self._respond(reader)
-        except Exception as error:  # a handler bug must not kill the server
-            status, payload = 500, {"error": f"{type(error).__name__}: {error}"}
-        body = json.dumps(jsonable(payload), indent=1, sort_keys=True,
-                          allow_nan=False).encode("utf-8")
-        head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n").encode("ascii")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass  # the client went away; nothing to report to
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-
-    async def _respond(self, reader: asyncio.StreamReader,
-                       ) -> Tuple[int, Dict[str, object]]:
-        """Parse one HTTP request and route it (never raises on bad input)."""
-        try:
-            request_line = await reader.readline()
-            parts = request_line.decode("ascii", "replace").split()
-            if len(parts) != 3:
-                return 400, {"error": f"malformed request line: {request_line!r}"}
-            method, target, _version = parts
-            headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
-                return 400, {"error": "invalid Content-Length header"}
-            if length > MAX_BODY_BYTES:
-                return 413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}
-            body = await reader.readexactly(length) if length else b""
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return 400, {"error": "truncated request"}
-        return self.route(method.upper(), target, body)
-
-    # ------------------------------------------------------------------ #
-    # Routing (synchronous: every operation is a table lookup or a queue
-    # insertion; the pool does the actual work elsewhere)
-    # ------------------------------------------------------------------ #
-    def route(self, method: str, target: str, body: bytes = b"",
-              ) -> Tuple[int, Dict[str, object]]:
-        """Dispatch one request; returns ``(status, payload)``."""
+    def _route(self, method: str, target: str,
+               body: Optional[Dict[str, object]]) -> Response:
         url = urlsplit(target)
         segments = [part for part in url.path.split("/") if part]
         try:
@@ -162,7 +77,7 @@ class ExperimentServer:
         except ValidationError as error:
             return 400, {"error": str(error)}
 
-    def _route_root(self, method: str) -> Tuple[int, Dict[str, object]]:
+    def _route_root(self, method: str) -> Response:
         if method != "GET":
             return 405, {"error": "the service root only supports GET"}
         jobs = self.manager.jobs()
@@ -179,15 +94,10 @@ class ExperimentServer:
                      for state in JobState.ALL},
         }
 
-    def _route_jobs(self, method: str, query: str, body: bytes,
-                    ) -> Tuple[int, Dict[str, object]]:
+    def _route_jobs(self, method: str, query: str,
+                    body: Optional[Dict[str, object]]) -> Response:
         if method == "POST":
-            try:
-                payload = json.loads(body.decode("utf-8") or "null")
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                return 400, {"error": f"request body is not valid JSON: {error}"}
-            job = self.manager.submit(payload)
-            return 201, job.status()
+            return 201, self.manager.submit(body).status()
         if method == "GET":
             states = None
             raw = parse_qs(query).get("state")
@@ -205,8 +115,7 @@ class ExperimentServer:
                          "states": states}
         return 405, {"error": "/jobs supports POST (submit) and GET (list)"}
 
-    def _route_job(self, method: str, job_id: str,
-                   ) -> Tuple[int, Dict[str, object]]:
+    def _route_job(self, method: str, job_id: str) -> Response:
         if method == "GET":
             return 200, self.manager.get(job_id).status()
         if method == "DELETE":
@@ -214,8 +123,7 @@ class ExperimentServer:
         return 405, {"error": "/jobs/{id} supports GET (status) and "
                               "DELETE (cancel)"}
 
-    def _route_result(self, method: str, job_id: str,
-                      ) -> Tuple[int, Dict[str, object]]:
+    def _route_result(self, method: str, job_id: str) -> Response:
         if method != "GET":
             return 405, {"error": "/jobs/{id}/result supports GET only"}
         job = self.manager.get(job_id)
@@ -226,32 +134,30 @@ class ExperimentServer:
         return 200, job.result
 
 
-async def serve(host: str = "127.0.0.1", port: int = 8642,
-                workers: Optional[int] = None, store=None,
-                max_jobs: Optional[int] = None,
-                ready: "Optional[asyncio.Event]" = None,
-                announce=None) -> None:
-    """Run the service until cancelled (the ``repro-ssle serve`` body).
+def serve(host: str = "127.0.0.1", port: int = 8642,
+          workers: Optional[int] = None, store=None,
+          max_jobs: Optional[int] = None,
+          announce: Optional[Callable[[str], None]] = None) -> None:
+    """Run the service until interrupted (the ``repro-ssle serve`` body).
 
     Builds the warm pool (created *now*, so the first job pays no fork
-    cost), the manager, and the server; ``ready`` is set once the socket is
-    bound, and ``announce`` (a callable taking one string) is told the
-    bound address.
+    cost), the manager, and the server, then serves on the calling thread;
+    ``announce`` is told the bound address. On the way out (``^C`` raises
+    :class:`KeyboardInterrupt` here) running jobs are cancelled — each
+    finishes its in-flight point first — and the pool is shut down.
     """
     backend = WarmPool(workers=workers).warm()
     manager = JobManager(backend=backend, store=store, max_jobs=max_jobs)
-    server = ExperimentServer(manager)
     try:
-        await server.start(host, port)
-        if announce is not None:
-            announce(f"serving on http://{host}:{server.port} "
-                     f"(pool: {backend.workers} worker(s), store: "
-                     f"{store.root if store is not None else 'off'})")
-        if ready is not None:
-            ready.set()
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
+        server = JsonHttpServer(ExperimentServer(manager), host, port)
+        try:
+            if announce is not None:
+                announce(f"serving on {server.url} "
+                         f"(pool: {backend.workers} worker(s), store: "
+                         f"{store.root if store is not None else 'off'})")
+            server.serve_forever()
+        finally:
+            server.close()
     finally:
-        await server.stop()
+        manager.close()
         backend.close()

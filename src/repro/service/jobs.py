@@ -122,11 +122,13 @@ class Job:
             raise ValueError(
                 f"job {self.id}: illegal transition {self.state} -> {state}"
             )
-        self.state = state
+        # Timestamps first: a status read on another thread that sees the
+        # new state also sees its timestamp.
         if state == JobState.RUNNING:
             self.started = time.time()
         if state in JobState.TERMINAL:
             self.finished = time.time()
+        self.state = state
 
     @property
     def terminal(self) -> bool:

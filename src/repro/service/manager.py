@@ -1,21 +1,23 @@
-"""The asyncio job manager: the service's lifecycle brain.
+"""The job manager: the service's lifecycle brain.
 
 :class:`JobManager` accepts experiment submissions, validates them eagerly
 against the protocol/topology registries (a bad request never reaches the
 queue), assigns job IDs, and drives each job through the
-``QUEUED -> RUNNING -> DONE | FAILED | CANCELLED`` state machine as an
-asyncio task.  Execution itself goes point-by-point through the shared
+``QUEUED -> RUNNING -> DONE | FAILED | CANCELLED`` state machine on a
+thread of its own.  Execution itself goes point-by-point through the shared
 :class:`~repro.service.backend.WarmPool` with the PR-5 results store
 consulted first — a point whose record is already on disk is served without
 touching the pool at all, and every executed point is written back the
 moment it completes, so a cancelled or crashed job loses nothing that
 finished.
 
-Concurrency model: each job is one asyncio task; an optional semaphore
-bounds how many run at once (the rest stay ``QUEUED``).  Running jobs
-interleave naturally — their points' trials share the one warm pool — so a
-short job submitted after a long one does not wait for the long one to
-drain.  Cancellation is cooperative at point granularity: the in-flight
+Concurrency model (the :class:`~repro.fabric.coordinator.Coordinator`'s):
+one lock guards the job table and every state transition, and is never
+held while a point runs.  Each job is one thread; an optional bounded
+semaphore caps how many run at once (the rest stay ``QUEUED``).  Running
+jobs interleave naturally — their points' trials share the one warm pool —
+so a short job submitted after a long one does not wait for the long one
+to drain.  Cancellation is cooperative at point granularity: the in-flight
 point finishes (its write-back included), the remaining points are skipped.
 
 Results are bit-identical to the CLI path by construction: the manager runs
@@ -28,8 +30,8 @@ the store.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
+import threading
 import time
 from typing import Dict, List, Optional, Union
 
@@ -92,16 +94,18 @@ class JobManager:
             raise ValueError(f"max_jobs must be >= 1, got {max_jobs}")
         self.backend = backend or WarmPool(workers=0)
         self.store = store
-        self._jobs: "Dict[str, Job]" = {}
-        self._tasks: "Dict[str, asyncio.Task]" = {}
+        self._lock = threading.Lock()
+        self._jobs: Dict[str, Job] = {}
+        self._threads: List[threading.Thread] = []
         self._ids = itertools.count(1)
-        self._slots = (asyncio.Semaphore(max_jobs)
+        self._slots = (threading.BoundedSemaphore(max_jobs)
                        if max_jobs is not None else None)
 
     # ------------------------------------------------------------------ #
     # The lifecycle API
     # ------------------------------------------------------------------ #
-    def submit(self, payload: Union[Dict[str, object], JobRequest]) -> Job:
+    def submit(self, payload: Union[Dict[str, object], JobRequest,
+                                    None]) -> Job:
         """Validate a submission, queue it, and return the new job.
 
         Validation is eager and complete — request shape, protocol, engine,
@@ -111,34 +115,37 @@ class JobManager:
         request = (payload if isinstance(payload, JobRequest)
                    else JobRequest.from_payload(payload))
         families = request.validate()
-        job = Job(
-            id=f"job-{next(self._ids):04d}",
-            request=request,
-            points=[
-                PointProgress(spec=request.protocol, population_size=n,
-                              family=family, trials=request.config.trials)
-                for n, family in zip(request.sizes, families)
-            ],
-        )
-        self._jobs[job.id] = job
-        self._tasks[job.id] = asyncio.get_running_loop().create_task(
-            self._run_job(job), name=job.id)
+        points = [PointProgress(spec=request.protocol, population_size=n,
+                                family=family, trials=request.config.trials)
+                  for n, family in zip(request.sizes, families)]
+        with self._lock:
+            job = Job(id=f"job-{next(self._ids):04d}", request=request,
+                      points=points)
+            self._jobs[job.id] = job
+            thread = threading.Thread(target=self._run_job, args=(job,),
+                                      name=job.id, daemon=True)
+            # Started under the lock, so drain() never joins an unstarted
+            # thread.
+            thread.start()
+            self._threads.append(thread)
         return job
 
     def get(self, job_id: str) -> Job:
-        try:
-            return self._jobs[job_id]
-        except KeyError:
-            raise UnknownJobError(
-                f"no job {job_id!r}; known jobs: {sorted(self._jobs)}"
-            ) from None
+        with self._lock:
+            try:
+                return self._jobs[job_id]
+            except KeyError:
+                raise UnknownJobError(
+                    f"no job {job_id!r}; known jobs: {sorted(self._jobs)}"
+                ) from None
 
     def jobs(self, states: Optional[List[str]] = None) -> List[Job]:
         """All jobs in submission order, optionally filtered by state."""
         if states is not None:
             validate_states(states)
-        return [job for job in self._jobs.values()
-                if states is None or job.state in states]
+        with self._lock:
+            return [job for job in self._jobs.values()
+                    if states is None or job.state in states]
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a job (idempotent; a terminal job is left untouched).
@@ -148,45 +155,44 @@ class JobManager:
         to the store — then the remaining points are skipped.
         """
         job = self.get(job_id)
-        if job.state == JobState.QUEUED:
-            job.cancel_requested = True
-            job.advance(JobState.CANCELLED)
-        elif job.state == JobState.RUNNING:
-            job.cancel_requested = True
+        with self._lock:
+            if job.state == JobState.QUEUED:
+                job.cancel_requested = True
+                job.advance(JobState.CANCELLED)
+            elif job.state == JobState.RUNNING:
+                job.cancel_requested = True
         return job
 
-    def result(self, job_id: str) -> Optional[Dict[str, object]]:
-        """The job's full result payload, or ``None`` when not available."""
-        return self.get(job_id).result
+    def drain(self) -> None:
+        """Wait for every submitted job's thread to finish (test/shutdown
+        aid)."""
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join()
 
-    async def drain(self) -> None:
-        """Wait for every submitted job's task to finish (test/shutdown aid)."""
-        tasks = list(self._tasks.values())
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-    async def close(self) -> None:
+    def close(self) -> None:
         """Cancel whatever still runs and wait it out (the pool stays up —
         its owner closes it)."""
-        for job in self._jobs.values():
-            if not job.terminal:
-                job.cancel_requested = True
-        await self.drain()
+        for job in self.jobs():
+            self.cancel(job.id)
+        self.drain()
 
     # ------------------------------------------------------------------ #
-    # Execution
+    # Execution (on the job's thread)
     # ------------------------------------------------------------------ #
-    async def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job) -> None:
         if self._slots is None:
-            await self._execute(job)
+            self._execute(job)
         else:
-            async with self._slots:
-                await self._execute(job)
+            with self._slots:
+                self._execute(job)
 
-    async def _execute(self, job: Job) -> None:
-        if job.terminal:  # cancelled while QUEUED
-            return
-        job.advance(JobState.RUNNING)
+    def _execute(self, job: Job) -> None:
+        with self._lock:
+            if job.terminal:  # cancelled while QUEUED
+                return
+            job.advance(JobState.RUNNING)
         store_view = (JobStoreView(self.store)
                       if self.store is not None else None)
         spec = get_spec(job.request.protocol)
@@ -198,43 +204,46 @@ class JobManager:
                     for skipped in job.points[index:]:
                         skipped.skipped = True
                     break
-                outcomes, wall_time = await self._run_point(
-                    job, point, batch, store_view)
+                outcomes, wall_time = self._run_point(point, batch,
+                                                      store_view)
                 point.done = True
                 results.append(self._point_result(
                     job, batch, outcomes, wall_time))
         except Exception as error:  # the job fails; the service survives
-            job.error = f"{type(error).__name__}: {error}"
-            job.advance(JobState.FAILED)
+            with self._lock:
+                job.error = f"{type(error).__name__}: {error}"
+                job.advance(JobState.FAILED)
             return
-        job.result = {
-            "command": "run",
-            "protocol": spec.name,
-            "kind": spec.kind,
-            "seed": job.request.config.seed,
-            "results": results,
-            "store": store_view.stats() if store_view is not None else None,
-        }
-        job.advance(JobState.CANCELLED if job.cancel_requested
-                    else JobState.DONE)
+        with self._lock:
+            job.result = {
+                "command": "run",
+                "protocol": spec.name,
+                "kind": spec.kind,
+                "seed": job.request.config.seed,
+                "results": results,
+                "store": (store_view.stats()
+                          if store_view is not None else None),
+            }
+            job.advance(JobState.CANCELLED if job.cancel_requested
+                        else JobState.DONE)
 
-    async def _run_point(self, job: Job, point: PointProgress,
-                         batch: BatchRequest, store_view):
+    def _run_point(self, point: PointProgress, batch: BatchRequest,
+                   store_view):
         """One point on the warm pool, with live served/executed counters."""
         tasks = batch_tasks(batch)
 
         def on_result(position: int, task, outcome, served: bool,
                       ) -> None:
-            # Runs on the backend's worker thread; single attribute
-            # increments, read (not iterated) by the status endpoint.
+            # Runs on this job's thread, the counters' only writer; the
+            # status endpoint reads them without the lock.
             if served:
                 point.served += 1
             else:
                 point.executed += 1
 
         started = time.perf_counter()
-        outcomes = await self.backend.run_point_async(
-            tasks, store=store_view, on_result=on_result)
+        outcomes = self.backend.run_point(tasks, store=store_view,
+                                          on_result=on_result)
         return outcomes, time.perf_counter() - started
 
     def _point_result(self, job: Job, batch: BatchRequest,

@@ -22,7 +22,7 @@ equivalent CLI invocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.config import (
@@ -235,7 +235,3 @@ class JobRequest:
             "check_backoff": self.config.check_backoff,
             "scenario": scenario_to_json(self.config.scenario),
         }
-
-    def with_engine(self, engine: str) -> "JobRequest":
-        """A copy running on another engine (test hook; identity-neutral)."""
-        return replace(self, config=replace(self.config, engine=engine))

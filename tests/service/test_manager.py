@@ -3,12 +3,16 @@
 The acceptance properties of the tentpole: a job's result is bit-identical
 to the direct ``run_spec`` path, a repeat submission against the shared
 store executes zero trials, cancellation keeps every completed point, and
-two jobs genuinely interleave on the one warm backend.
+two jobs genuinely interleave on the one warm backend.  Each job runs on a
+thread of its own, so the tests that need a job held mid-flight use a
+backend whose first point waits on a gate.
 """
 
 from __future__ import annotations
 
-import asyncio
+import sys
+import threading
+import time
 
 import pytest
 
@@ -24,28 +28,50 @@ PAYLOAD = {"protocol": "fischer-jiang", "sizes": [6, 8], "trials": 3,
            "max_steps": 400_000, "seed": 17}
 
 
-def run(coroutine):
-    return asyncio.run(coroutine)
+#: Bound on every wait for another thread in these tests.
+TIMEOUT = 60.0
 
 
-async def _submit_and_drain(manager, payload):
+def _submit_and_drain(manager, payload):
     job = manager.submit(payload)
-    await manager.drain()
+    manager.drain()
     return job
+
+
+class GatedPool(WarmPool):
+    """Blocks the FIRST point it is asked to run until the gate opens."""
+
+    def __init__(self):
+        super().__init__(workers=0)
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def run_point(self, tasks, store=None, on_result=None):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.gate.wait(TIMEOUT), "the gate never opened"
+        return super().run_point(tasks, store, on_result)
+
+
+def wait_for(condition):
+    deadline = time.monotonic() + TIMEOUT
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
 
 
 # ---------------------------------------------------------------------- #
 # Lifecycle and result identity
 # ---------------------------------------------------------------------- #
 def test_job_runs_to_done_with_full_progress():
-    async def scenario():
-        manager = JobManager()
-        job = manager.submit(PAYLOAD)
-        assert job.state in (JobState.QUEUED, JobState.RUNNING)
-        await manager.drain()
-        return job
-
-    job = run(scenario())
+    pool = GatedPool()
+    manager = JobManager(backend=pool)
+    job = manager.submit(PAYLOAD)
+    # submit returns at once: the job is still in its first point.
+    assert pool.entered.wait(TIMEOUT)
+    assert job.state == JobState.RUNNING
+    pool.gate.set()
+    manager.drain()
     assert job.state == JobState.DONE
     assert job.started is not None and job.finished is not None
     assert job.points_completed == 2
@@ -54,7 +80,7 @@ def test_job_runs_to_done_with_full_progress():
 
 
 def test_job_result_is_bit_identical_to_the_direct_path():
-    job = run(_submit_and_drain(JobManager(), PAYLOAD))
+    job = _submit_and_drain(JobManager(), PAYLOAD)
     request = JobRequest.from_payload(PAYLOAD)
     payload = job.result
     assert payload["command"] == "run"
@@ -75,56 +101,41 @@ def test_job_result_is_bit_identical_to_the_direct_path():
 
 def test_submit_accepts_a_prebuilt_request():
     request = JobRequest.from_payload(PAYLOAD)
-    job = run(_submit_and_drain(JobManager(), request))
+    job = _submit_and_drain(JobManager(), request)
     assert job.state == JobState.DONE and job.request is request
 
 
 def test_invalid_submission_creates_no_job():
-    async def scenario():
-        manager = JobManager()
-        with pytest.raises(ValidationError):
-            manager.submit({"protocol": "no-such-spec"})
-        return manager.jobs()
-
-    assert run(scenario()) == []
+    manager = JobManager()
+    with pytest.raises(ValidationError):
+        manager.submit({"protocol": "no-such-spec"})
+    assert manager.jobs() == []
 
 
 def test_unknown_job_id_raises():
-    async def scenario():
-        manager = JobManager()
-        with pytest.raises(UnknownJobError):
-            manager.get("job-9999")
-        with pytest.raises(UnknownJobError):
-            manager.cancel("job-9999")
-
-    run(scenario())
+    manager = JobManager()
+    with pytest.raises(UnknownJobError):
+        manager.get("job-9999")
+    with pytest.raises(UnknownJobError):
+        manager.cancel("job-9999")
 
 
 def test_jobs_filter_validates_states():
-    async def scenario():
-        manager = JobManager()
-        job = manager.submit(PAYLOAD)
-        await manager.drain()
-        assert manager.jobs([JobState.DONE]) == [job]
-        assert manager.jobs([JobState.RUNNING]) == []
-        with pytest.raises(ValueError, match="unknown job state"):
-            manager.jobs(["SLEEPING"])
-
-    run(scenario())
+    manager = JobManager()
+    job = _submit_and_drain(manager, PAYLOAD)
+    assert manager.jobs([JobState.DONE]) == [job]
+    assert manager.jobs([JobState.RUNNING]) == []
+    with pytest.raises(ValueError, match="unknown job state"):
+        manager.jobs(["SLEEPING"])
 
 
 # ---------------------------------------------------------------------- #
 # Store integration: repeats never touch the pool
 # ---------------------------------------------------------------------- #
 def test_second_identical_submission_executes_zero_trials(tmp_path):
-    async def scenario():
-        store = ResultsStore(tmp_path)
-        manager = JobManager(store=store)
-        first = await _submit_and_drain(manager, PAYLOAD)
-        second = await _submit_and_drain(manager, PAYLOAD)
-        return first, second
-
-    first, second = run(scenario())
+    manager = JobManager(store=ResultsStore(tmp_path))
+    first = _submit_and_drain(manager, PAYLOAD)
+    second = _submit_and_drain(manager, PAYLOAD)
     assert first.result["store"] == {**first.result["store"],
                                      "served": 0, "executed": 6}
     assert second.trials_executed == 0 and second.trials_served == 6
@@ -160,25 +171,26 @@ class HookedPool(WarmPool):
         super().__init__(workers=0)
         self.after_point = after_point
 
-    async def run_point_async(self, tasks, store=None, on_result=None):
-        outcomes = await super().run_point_async(tasks, store, on_result)
+    def run_point(self, tasks, store=None, on_result=None):
+        outcomes = super().run_point(tasks, store, on_result)
         self.after_point()
         return outcomes
 
 
-def test_cancel_running_job_keeps_completed_points(tmp_path):
-    async def scenario():
-        store = ResultsStore(tmp_path)
-        holder = {}
-        manager = JobManager(
-            backend=HookedPool(lambda: manager.cancel(holder["id"])),
-            store=store)
-        job = manager.submit(PAYLOAD)
-        holder["id"] = job.id
-        await manager.drain()
-        return job
+def cancelled_after_first_point(store):
+    """A job over ``PAYLOAD`` whose cancellation lands during point one."""
+    holder = {}
+    manager = JobManager(
+        backend=HookedPool(lambda: manager.cancel(holder["id"])),
+        store=store)
+    job = manager.submit(PAYLOAD)
+    holder["id"] = job.id
+    manager.drain()
+    return job
 
-    job = run(scenario())
+
+def test_cancel_running_job_keeps_completed_points(tmp_path):
+    job = cancelled_after_first_point(ResultsStore(tmp_path))
     assert job.state == JobState.CANCELLED and job.cancel_requested
     assert [point.done for point in job.points] == [True, False]
     assert [point.skipped for point in job.points] == [False, True]
@@ -189,52 +201,35 @@ def test_cancel_running_job_keeps_completed_points(tmp_path):
 
 
 def test_cancel_running_job_writes_completed_point_to_store(tmp_path):
-    async def scenario():
-        store = ResultsStore(tmp_path)
-        holder = {}
-        manager = JobManager(
-            backend=HookedPool(lambda: manager.cancel(holder["id"])),
-            store=store)
-        holder["id"] = manager.submit(PAYLOAD).id
-        await manager.drain()
-        # A fresh job over the same request serves the completed point from
-        # disk and only executes the skipped one.
-        follow_up = JobManager(store=store)
-        job = follow_up.submit(PAYLOAD)
-        await follow_up.drain()
-        return job
-
-    job = run(scenario())
+    store = ResultsStore(tmp_path)
+    cancelled_after_first_point(store)
+    # A fresh job over the same request serves the completed point from
+    # disk and only executes the skipped one.
+    job = _submit_and_drain(JobManager(store=store), PAYLOAD)
     assert job.state == JobState.DONE
     assert (job.trials_served, job.trials_executed) == (3, 3)
 
 
 def test_cancel_queued_job_never_runs():
-    async def scenario():
-        manager = JobManager(max_jobs=1)
-        blocker = manager.submit(PAYLOAD)
-        queued = manager.submit(PAYLOAD)
-        manager.cancel(queued.id)
-        assert queued.state == JobState.CANCELLED
-        await manager.drain()
-        return blocker, queued
-
-    blocker, queued = run(scenario())
+    pool = GatedPool()
+    manager = JobManager(backend=pool, max_jobs=1)
+    blocker = manager.submit(PAYLOAD)
+    assert pool.entered.wait(TIMEOUT)
+    queued = manager.submit(PAYLOAD)
+    manager.cancel(queued.id)
+    assert queued.state == JobState.CANCELLED
+    pool.gate.set()
+    manager.drain()
     assert blocker.state == JobState.DONE
     assert queued.state == JobState.CANCELLED
     assert queued.result is None and queued.trials_executed == 0
 
 
 def test_cancel_is_idempotent_on_terminal_jobs():
-    async def scenario():
-        manager = JobManager()
-        job = manager.submit(PAYLOAD)
-        await manager.drain()
-        assert job.state == JobState.DONE
-        manager.cancel(job.id)
-        return job
-
-    job = run(scenario())
+    manager = JobManager()
+    job = _submit_and_drain(manager, PAYLOAD)
+    assert job.state == JobState.DONE
+    manager.cancel(job.id)
     assert job.state == JobState.DONE and not job.cancel_requested
 
 
@@ -245,78 +240,109 @@ class ExplodingPool(WarmPool):
     def __init__(self):
         super().__init__(workers=0)
 
-    async def run_point_async(self, tasks, store=None, on_result=None):
+    def run_point(self, tasks, store=None, on_result=None):
         raise RuntimeError("worker pool on fire")
 
 
 def test_backend_failure_fails_the_job_not_the_manager():
-    async def scenario():
-        manager = JobManager(backend=ExplodingPool())
-        failed = manager.submit(PAYLOAD)
-        await manager.drain()
-        # The manager survives: a later job on a healthy backend still runs.
-        healthy = JobManager()
-        job = healthy.submit(PAYLOAD)
-        await healthy.drain()
-        return failed, job
-
-    failed, job = run(scenario())
+    manager = JobManager(backend=ExplodingPool())
+    failed = _submit_and_drain(manager, PAYLOAD)
     assert failed.state == JobState.FAILED
     assert "worker pool on fire" in failed.error
     assert failed.result is None
-    assert job.state == JobState.DONE
-
-
-class GatedPool(WarmPool):
-    """Blocks the FIRST point it is asked to run until the gate opens."""
-
-    def __init__(self, gate):
-        super().__init__(workers=0)
-        self.gate = gate
-        self.first = True
-
-    async def run_point_async(self, tasks, store=None, on_result=None):
-        if self.first:
-            self.first = False
-            await self.gate.wait()
-        return await super().run_point_async(tasks, store, on_result)
+    # The manager survives: it still answers, and a later job on a healthy
+    # backend still runs.
+    assert manager.jobs([JobState.FAILED]) == [failed]
+    assert _submit_and_drain(JobManager(), PAYLOAD).state == JobState.DONE
 
 
 def test_two_jobs_interleave_on_the_shared_backend():
-    async def scenario():
-        gate = asyncio.Event()
-        manager = JobManager(backend=GatedPool(gate))
-        stalled = manager.submit(PAYLOAD)
-        quick = manager.submit(PAYLOAD)
-        # The second job must run to completion while the first is still
-        # RUNNING (blocked inside its first point).
-        while quick.state != JobState.DONE:
-            await asyncio.sleep(0.01)
-        states = (stalled.state, quick.state)
-        gate.set()
-        await manager.drain()
-        return states, stalled
-
-    states, stalled = run(scenario())
-    assert states == (JobState.RUNNING, JobState.DONE)
+    pool = GatedPool()
+    manager = JobManager(backend=pool)
+    stalled = manager.submit(PAYLOAD)
+    assert pool.entered.wait(TIMEOUT)
+    quick = manager.submit(PAYLOAD)
+    # The second job must run to completion while the first is still
+    # RUNNING (blocked inside its first point).
+    wait_for(lambda: quick.state == JobState.DONE)
+    assert stalled.state == JobState.RUNNING
+    pool.gate.set()
+    manager.drain()
     assert stalled.state == JobState.DONE
 
 
 def test_max_jobs_bounds_concurrency():
-    async def scenario():
-        gate = asyncio.Event()
-        manager = JobManager(backend=GatedPool(gate), max_jobs=1)
-        stalled = manager.submit(PAYLOAD)
-        queued = manager.submit(PAYLOAD)
-        await asyncio.sleep(0.05)
-        states = (stalled.state, queued.state)
-        gate.set()
-        await manager.drain()
-        return states, stalled, queued
-
-    states, stalled, queued = run(scenario())
-    assert states == (JobState.RUNNING, JobState.QUEUED)
+    pool = GatedPool()
+    manager = JobManager(backend=pool, max_jobs=1)
+    stalled = manager.submit(PAYLOAD)
+    assert pool.entered.wait(TIMEOUT)
+    queued = manager.submit(PAYLOAD)
+    time.sleep(0.05)  # room for the second job to start, were it allowed
+    assert (stalled.state, queued.state) == (JobState.RUNNING,
+                                             JobState.QUEUED)
+    pool.gate.set()
+    manager.drain()
     assert stalled.state == JobState.DONE and queued.state == JobState.DONE
+
+
+class CountingPool(WarmPool):
+    """Records the most points it ever ran at once."""
+
+    def __init__(self):
+        super().__init__(workers=0)
+        self._lock = threading.Lock()
+        self.running = 0
+        self.most = 0
+
+    def run_point(self, tasks, store=None, on_result=None):
+        with self._lock:
+            self.running += 1
+            self.most = max(self.most, self.running)
+        try:
+            time.sleep(0.002)  # long enough for other jobs to try to start
+            return super().run_point(tasks, store, on_result)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+def test_concurrent_submits_and_cancels_keep_the_table_consistent(
+        monkeypatch):
+    """Six threads submit and cancel at once under a tiny switch interval:
+    every job gets a distinct id, ends terminal through legal transitions
+    only, and no more than ``max_jobs`` ever run together."""
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", errors.append)
+    pool = CountingPool()
+    manager = JobManager(backend=pool, max_jobs=2)
+    payload = {**PAYLOAD, "sizes": [4, 5], "trials": 1}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def client(index):
+            for round_ in range(4):
+                job = manager.submit(payload)
+                if (index + round_) % 3 == 0:
+                    manager.cancel(job.id)
+                manager.jobs([JobState.DONE])  # iterates while others insert
+
+        clients = [threading.Thread(target=client, args=(index,))
+                   for index in range(6)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(TIMEOUT)
+        manager.drain()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in clients)
+    assert errors == []
+    jobs = manager.jobs()
+    assert sorted(job.id for job in jobs) == [f"job-{index:04d}"
+                                              for index in range(1, 25)]
+    assert {job.state for job in jobs} <= {JobState.DONE, JobState.CANCELLED}
+    assert sum(job.state == JobState.DONE for job in jobs) >= 16
+    assert 1 <= pool.most <= 2
 
 
 def test_max_jobs_validation():
