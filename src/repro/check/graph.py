@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import InvalidParameterError
@@ -95,8 +96,7 @@ class ConfigurationGraph:
         if len(codes) != self.num_agents:
             raise InvalidParameterError(
                 f"expected {self.num_agents} agent codes, got {len(codes)}")
-        return sum(code * weight
-                   for code, weight in zip(codes, self._weights))
+        return sum(map(mul, codes, self._weights))
 
     def successors(self, cid: int) -> List[int]:
         """Configurations one *state-changing* interaction away from ``cid``.

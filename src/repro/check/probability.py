@@ -28,9 +28,15 @@ Two solvers, chosen by system size:
   defect of the returned vector under the true kernel — the caller gets
   a proof-carrying float answer, not a convergence hope.
 
-Nodes that cannot reach the legal set at all (found by reverse BFS before
-any solve) have ``h = inf``; they are precisely the stabilization
-violations the qualitative checker reports.
+Both solvers read *rows* compiled once before the solve: the transient
+nodes in sweep order, each with the tuple of its moving-arc targets other
+than itself.  A sweep then walks Python lists and tuples only.
+
+``h = inf`` means the legal set is reached with probability below 1.
+Found by reverse BFS before any solve, such a node either cannot reach
+the legal set at all (a stabilization violation the qualitative checker
+reports) or can move, through illegal configurations, into one that
+cannot: with positive probability the chain never arrives.
 
 Everything here consumes the duck-typed graph surface (``num_configs``,
 ``successors``, ``arcs``) shared by :class:`repro.check.graph.ConfigurationGraph`
@@ -45,6 +51,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import InvalidParameterError
@@ -68,7 +75,7 @@ class HittingTimes:
 
     ``values[i]`` is a :class:`~fractions.Fraction` (exact path), a float
     (iterative path), ``0`` for legal nodes, or ``math.inf`` for nodes
-    that cannot reach the legal set.
+    that reach the legal set with probability below 1.
     """
 
     values: List[object]
@@ -113,23 +120,24 @@ def _forward_csr(graph) -> Tuple[array, array]:
 
 def _reverse_reachable(total: int, offsets: array, targets: array,
                        legal: bytearray) -> Tuple[bytearray, array]:
-    """Reverse BFS from the legal set: reachability mask + BFS distance.
+    """Which nodes reach the legal set with probability 1, and how far.
 
-    Distance is in *edge hops* from the legal boundary (legal nodes are
-    0); it orders the Gauss-Seidel sweep so each update sees the freshest
-    downstream values.
+    A reverse BFS from the legal set marks every node that can reach it,
+    with its distance in *edge hops* from the legal boundary (legal nodes
+    are 0); the distance orders the Gauss-Seidel sweep so each update sees
+    the freshest downstream values.  A second reverse BFS, from the nodes
+    the first one missed and over non-legal predecessors, unmarks every
+    node that can move into one of them: from there the chain is trapped
+    with positive probability, so its hitting time is infinite too.
     """
     predecessors_count = array("l", [0]) * total
     for target in targets:
         predecessors_count[target] += 1
-    reverse_offsets = array("l", [0]) * (total + 1)
-    for node in range(total):
-        reverse_offsets[node + 1] = reverse_offsets[node] + predecessors_count[node]
-    cursor = array("l", reverse_offsets[:total])
+    reverse_offsets = array("l", accumulate(predecessors_count, initial=0))
+    cursor = reverse_offsets[:total]
     reverse_targets = array("q", [0]) * len(targets)
     for node in range(total):
-        for position in range(offsets[node], offsets[node + 1]):
-            target = targets[position]
+        for target in targets[offsets[node]:offsets[node + 1]]:
             reverse_targets[cursor[target]] = node
             cursor[target] += 1
 
@@ -146,18 +154,47 @@ def _reverse_reachable(total: int, offsets: array, targets: array,
         depth += 1
         next_frontier: List[int] = []
         for node in frontier:
-            for position in range(reverse_offsets[node],
-                                  reverse_offsets[node + 1]):
-                source = reverse_targets[position]
+            for source in reverse_targets[reverse_offsets[node]:
+                                          reverse_offsets[node + 1]]:
                 if not reachable[source]:
                     reachable[source] = 1
                     distance[source] = depth
                     next_frontier.append(source)
         frontier = next_frontier
+
+    frontier = [node for node in range(total) if not reachable[node]]
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            for source in reverse_targets[reverse_offsets[node]:
+                                          reverse_offsets[node + 1]]:
+                if reachable[source] and not legal[source]:
+                    reachable[source] = 0
+                    next_frontier.append(source)
+        frontier = next_frontier
     return reachable, distance
 
 
-def _solve_exact(transient: List[int], offsets: array, targets: array,
+def _compile_rows(transient: List[int], distance: array, offsets: array,
+                  targets: array) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """The transient nodes in sweep order, and each one's row.
+
+    Nodes are ordered by distance from the legal set (ties by node id).  A
+    row holds the node's moving-arc targets in CSR order, minus the arcs
+    that stay on the node, so its length is the node's effective outflow.
+    Every row refers to one shared int object per node.
+    """
+    order = sorted(transient, key=distance.__getitem__)
+    ids = list(range(len(distance)))
+    nodes = [ids[node] for node in order]
+    rows = [tuple([ids[target]
+                   for target in targets[offsets[node]:offsets[node + 1]]
+                   if target != node])
+            for node in order]
+    return nodes, rows
+
+
+def _solve_exact(nodes: List[int], rows: List[Tuple[int, ...]],
                  legal: bytearray, num_arcs: int) -> Dict[int, Fraction]:
     """Sparse rational Gaussian elimination with greedy min-degree pivots.
 
@@ -165,66 +202,57 @@ def _solve_exact(transient: List[int], offsets: array, targets: array,
     moving arcs leaving the orbit/node and ``w_ij`` the multiplicity of
     transient successor ``j`` (legal successors contribute 0 and vanish).
     """
-    position_of = {node: slot for slot, node in enumerate(transient)}
-    count = len(transient)
-    rows: List[Dict[int, Fraction]] = []
+    position_of = {node: slot for slot, node in enumerate(nodes)}
+    count = len(nodes)
+    equations: List[Dict[int, Fraction]] = []
     rhs: List[Fraction] = []
     columns: List[set] = [set() for _ in range(count)]
-    for slot, node in enumerate(transient):
+    for slot, row in enumerate(rows):
         weights: Dict[int, int] = {}
-        moving = 0
-        for position in range(offsets[node], offsets[node + 1]):
-            target = targets[position]
-            moving += 1
-            if target == node or legal[target]:
-                # A moving arc back into the same node/orbit reduces the
-                # effective outflow; a legal successor contributes h = 0.
-                if target == node:
-                    moving -= 1
-                continue
-            slot_j = position_of[target]
-            weights[slot_j] = weights.get(slot_j, 0) + 1
-        row = {slot: Fraction(moving)}
-        for slot_j, weight in weights.items():
-            row[slot_j] = Fraction(-weight)
-            columns[slot_j].add(slot)
-        columns[slot].add(slot)
-        if moving <= 0:
+        for target in row:
+            if not legal[target]:
+                slot_j = position_of[target]
+                weights[slot_j] = weights.get(slot_j, 0) + 1
+        if not row:
             raise InvalidParameterError(
                 "transient node with no outflow reached the exact solver; "
                 "reverse reachability should have excluded it")
-        rows.append(row)
+        equation = {slot: Fraction(len(row))}
+        for slot_j, weight in weights.items():
+            equation[slot_j] = Fraction(-weight)
+            columns[slot_j].add(slot)
+        columns[slot].add(slot)
+        equations.append(equation)
         rhs.append(Fraction(num_arcs))
 
     eliminated: List[Tuple[int, Dict[int, Fraction], Fraction]] = []
     remaining = set(range(count))
     while remaining:
-        pivot = min(remaining, key=lambda slot: len(rows[slot]))
+        pivot = min(remaining, key=lambda slot: len(equations[slot]))
         remaining.discard(pivot)
-        pivot_row = rows[pivot]
+        pivot_row = equations[pivot]
         pivot_rhs = rhs[pivot]
         pivot_coeff = pivot_row.pop(pivot)
         columns[pivot].discard(pivot)
         for other in list(columns[pivot]):
             if other == pivot or other not in remaining:
                 continue
-            factor = rows[other].pop(pivot) / pivot_coeff
+            factor = equations[other].pop(pivot) / pivot_coeff
             rhs[other] -= factor * pivot_rhs
             for slot_j, coeff in pivot_row.items():
-                updated = rows[other].get(slot_j, Fraction(0)) - factor * coeff
+                updated = equations[other].get(slot_j, Fraction(0)) - factor * coeff
                 if updated:
-                    rows[other][slot_j] = updated
+                    equations[other][slot_j] = updated
                     columns[slot_j].add(other)
                 else:
-                    rows[other].pop(slot_j, None)
+                    equations[other].pop(slot_j, None)
                     columns[slot_j].discard(other)
         columns[pivot].clear()
-        eliminated.append((pivot, pivot_row, pivot_rhs / pivot_coeff))
         # Normalize the stored row once so back-substitution is a plain dot.
-        eliminated[-1] = (pivot,
-                          {slot_j: coeff / pivot_coeff
-                           for slot_j, coeff in pivot_row.items()},
-                          pivot_rhs / pivot_coeff)
+        eliminated.append((pivot,
+                           {slot_j: coeff / pivot_coeff
+                            for slot_j, coeff in pivot_row.items()},
+                           pivot_rhs / pivot_coeff))
 
     solution: Dict[int, Fraction] = {}
     for pivot, row, value in reversed(eliminated):
@@ -232,67 +260,54 @@ def _solve_exact(transient: List[int], offsets: array, targets: array,
         for slot_j, coeff in row.items():
             total -= coeff * solution[slot_j]
         solution[pivot] = total
-    return {transient[slot]: value for slot, value in solution.items()}
+    return {nodes[slot]: value for slot, value in solution.items()}
 
 
-def _solve_iterative(transient: List[int], distance: array, offsets: array,
-                     targets: array, legal: bytearray, num_arcs: int,
-                     total: int, tol: float, max_sweeps: int,
-                     ) -> Tuple[array, float, int]:
-    """Gauss-Seidel in BFS order, iterated to a residual certificate."""
-    values = array("d", [0.0]) * total
-    order = sorted(transient, key=distance.__getitem__)
-    degree = array("l", [0]) * total
-    for node in transient:
-        moving = offsets[node + 1] - offsets[node]
-        self_hits = 0
-        for position in range(offsets[node], offsets[node + 1]):
-            if targets[position] == node:
-                self_hits += 1
-        degree[node] = moving - self_hits
+def _solve_iterative(nodes: List[int], rows: List[Tuple[int, ...]],
+                     num_arcs: int, total: int, tol: float, max_sweeps: int,
+                     ) -> Tuple[List[float], float, int]:
+    """Gauss-Seidel over the sweep-ordered rows, iterated to a residual
+    certificate.  Legal nodes keep ``0.0``."""
+    values = [0.0] * total
+    degrees = [len(row) for row in rows]
+    start = float(num_arcs)
     sweeps = 0
     residual = math.inf
     while sweeps < max_sweeps:
         sweeps += 1
         delta = 0.0
-        for node in order:
-            acc = float(num_arcs)
-            for position in range(offsets[node], offsets[node + 1]):
-                target = targets[position]
-                if target != node:
-                    acc += values[target]
-            updated = acc / degree[node]
+        for node, row, degree in zip(nodes, rows, degrees):
+            acc = start
+            for target in row:
+                acc += values[target]
+            updated = acc / degree
             shift = abs(updated - values[node])
             if shift > delta:
                 delta = shift
             values[node] = updated
         if delta <= tol / 4:
             # Candidate convergence — confirm with a true residual pass.
-            residual = _residual(order, values, offsets, targets,
-                                 degree, num_arcs)
+            residual = _residual(nodes, rows, degrees, values, num_arcs)
             if residual <= tol:
                 break
     else:
-        residual = _residual(order, values, offsets, targets,
-                             degree, num_arcs)
+        residual = _residual(nodes, rows, degrees, values, num_arcs)
     if math.isinf(residual):
-        residual = _residual(order, values, offsets, targets,
-                             degree, num_arcs)
+        residual = _residual(nodes, rows, degrees, values, num_arcs)
     return values, residual, sweeps
 
 
-def _residual(order: Sequence[int], values: array, offsets: array,
-              targets: array, degree: array, num_arcs: int) -> float:
+def _residual(nodes: List[int], rows: List[Tuple[int, ...]],
+              degrees: List[int], values: List[float], num_arcs: int) -> float:
     """``max_i |h_i - (1 + (P h)_i)|`` of the candidate vector, exactly the
     defect the docstring's certificate promises (in steps units)."""
     worst = 0.0
-    for node in order:
-        acc = float(num_arcs)
-        for position in range(offsets[node], offsets[node + 1]):
-            target = targets[position]
-            if target != node:
-                acc += values[target]
-        defect = abs(values[node] - acc / degree[node]) * degree[node] / num_arcs
+    start = float(num_arcs)
+    for node, row, degree in zip(nodes, rows, degrees):
+        acc = start
+        for target in row:
+            acc += values[target]
+        defect = abs(values[node] - acc / degree) * degree / num_arcs
         if defect > worst:
             worst = defect
     return worst
@@ -307,7 +322,8 @@ def hitting_times(graph, legal: bytearray,
     ``graph`` is a :class:`~repro.check.graph.ConfigurationGraph` or
     :class:`~repro.check.symmetry.QuotientGraph`; ``legal`` the matching
     mask.  Chooses the exact solver at or under ``exact_limit`` transient
-    unknowns, the certified iterative solver above it.
+    unknowns, the certified iterative solver above it.  A node gets
+    ``math.inf`` when it reaches the legal set with probability below 1.
     """
     total = graph.num_configs
     if len(legal) != total:
@@ -321,32 +337,25 @@ def hitting_times(graph, legal: bytearray,
                  if reachable[node] and not legal[node]]
     unreachable = total - sum(reachable)
 
-    values: List[object] = [math.inf] * total
-    for node in range(total):
-        if legal[node]:
-            values[node] = Fraction(0)
-
-    if not transient:
-        return HittingTimes(values=values, method="exact", residual=0.0,
-                            sweeps=0, unreachable=unreachable,
-                            transient=0, tolerance=tol)
-
-    if len(transient) <= exact_limit:
-        solved = _solve_exact(transient, offsets, targets, legal, num_arcs)
-        for node, value in solved.items():
+    nodes, rows = _compile_rows(transient, distance, offsets, targets)
+    # The rows replace the CSR arrays: free them before the solve allocates.
+    del offsets, targets
+    if len(transient) <= exact_limit or not transient:
+        values: List[object] = [math.inf] * total
+        for node in range(total):
+            if legal[node]:
+                values[node] = Fraction(0)
+        for node, value in _solve_exact(nodes, rows, legal, num_arcs).items():
             values[node] = value
         return HittingTimes(values=values, method="exact", residual=0.0,
                             sweeps=0, unreachable=unreachable,
                             transient=len(transient), tolerance=tol)
 
-    floats, residual, sweeps = _solve_iterative(
-        transient, distance, offsets, targets, legal, num_arcs,
-        total, tol, max_sweeps)
+    values, residual, sweeps = _solve_iterative(
+        nodes, rows, num_arcs, total, tol, max_sweeps)
     for node in range(total):
-        if legal[node]:
-            values[node] = 0.0
-        elif reachable[node]:
-            values[node] = floats[node]
+        if not reachable[node]:
+            values[node] = math.inf
     return HittingTimes(values=values, method="iterative", residual=residual,
                         sweeps=sweeps, unreachable=unreachable,
                         transient=len(transient), tolerance=tol)

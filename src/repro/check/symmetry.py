@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from array import array
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.check.graph import ConfigurationGraph
 from repro.core.errors import InvalidParameterError
@@ -252,15 +252,20 @@ class QuotientGraph:
             raise InvalidParameterError(
                 f"symmetry acts on {symmetry.size} agents, "
                 f"graph has {graph.num_agents}")
-        reps: List[int] = []
-        index: Dict[int, int] = {}
+        reps = array("l")
         sizes = array("l")
+        # Orbit index of every full configuration id, filled from each
+        # representative's images: a successor's orbit is one lookup.
+        orbit_of = array("l", [0]) * graph.num_configs
+        encode = graph.encode
         for digits in symmetry.representatives(graph.num_states):
-            index[graph.encode(digits)] = len(reps)
-            reps.append(graph.encode(digits))
+            orbit = len(reps)
+            reps.append(encode(digits))
             sizes.append(symmetry.orbit_size(digits))
+            for image in symmetry.images(digits):
+                orbit_of[encode(image)] = orbit
         self._reps = reps
-        self._index = index
+        self._orbit_of = orbit_of
         self.orbit_sizes = sizes
         self.full_configs = graph.num_configs
 
@@ -292,18 +297,14 @@ class QuotientGraph:
 
     def orbit_of(self, codes: Sequence[int]) -> int:
         """Orbit index of an arbitrary (full-space) configuration."""
-        canonical = self.symmetry.canonize(codes)
-        return self._index[self.graph.encode(canonical)]
+        return self._orbit_of[self.graph.encode(codes)]
 
     def successors(self, orbit: int) -> List[int]:
         """Orbit indices one moving arc away — one entry per moving arc of
         the representative, duplicates (and self-entries) preserved."""
-        graph = self.graph
-        canonize = self.symmetry.canonize
-        index = self._index
-        encode = graph.encode
-        return [index[encode(canonize(graph.digits(successor)))]
-                for successor in graph.successors(self._reps[orbit])]
+        orbit_of = self._orbit_of
+        return [orbit_of[successor]
+                for successor in self.graph.successors(self._reps[orbit])]
 
     def legal_mask(self, predicate, states) -> bytearray:
         """Per-orbit predicate truth, with an invariance spot-check.

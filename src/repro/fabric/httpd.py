@@ -10,9 +10,14 @@ An *app* is anything with ``handle(method, path, body) -> (status, payload)``
 and an optional ``max_body_bytes`` attribute. The server owns everything
 HTTP: request parsing, body-size limits, JSON encoding, and turning handler
 exceptions into 500s (which clients treat as retryable). A body it refuses
-(a malformed or negative ``Content-Length`` is a 400, an oversized one a
-413, undecodable JSON a 400) also ends the connection: its unread bytes
-must never be parsed as further requests.
+(a malformed or negative ``Content-Length`` is a 400, any
+``Transfer-Encoding`` a 411, an oversized body a 413, undecodable JSON a
+400, a body that stalls for :data:`SOCKET_TIMEOUT_S` a 408) also ends the
+connection: its unread bytes must never be parsed as further requests.
+Every socket operation of a connection times out after
+:data:`SOCKET_TIMEOUT_S`, so a stalled or idle peer cannot hold a handler
+thread; the repo's clients open one connection per attempt and send each
+request whole.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ from typing import Dict, Optional, Tuple
 __all__ = ["JsonApp", "JsonHttpServer"]
 
 Response = Tuple[int, Dict[str, object]]
+
+#: Seconds any one read or write on a connection may block before the
+#: server gives the connection up.
+SOCKET_TIMEOUT_S = 30.0
 
 
 class JsonApp:
@@ -42,6 +51,7 @@ def _make_handler(app: JsonApp) -> type:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-fabric"
+        timeout = SOCKET_TIMEOUT_S
 
         def log_message(self, format: str, *args: object) -> None:
             pass  # daemons announce themselves once; per-request noise helps no one
@@ -59,6 +69,10 @@ def _make_handler(app: JsonApp) -> type:
             self.wfile.write(data)
 
         def _read_body(self) -> Optional[Dict[str, object]]:
+            if "Transfer-Encoding" in self.headers:
+                # Unframed, its chunks would be parsed as further requests.
+                raise _BodyError(411, "Transfer-Encoding is not supported; "
+                                      "send a Content-Length")
             header = self.headers.get("Content-Length") or "0"
             try:
                 length = int(header)
@@ -72,7 +86,10 @@ def _make_handler(app: JsonApp) -> type:
                 raise _BodyError(
                     413, f"request body too large ({length} bytes; limit "
                          f"{app.max_body_bytes})")
-            raw = self.rfile.read(length)
+            try:
+                raw = self.rfile.read(length)
+            except TimeoutError:
+                raise _BodyError(408, "request body timed out") from None
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):

@@ -70,6 +70,40 @@ def test_livelocked_chain_is_all_unreachable():
     assert math.isinf(value)
 
 
+def table_rule(moves):
+    """A rule that applies ``moves[(i, r)]`` and leaves other pairs alone."""
+    return lambda i, r: moves.get((i, r), (i, r))
+
+
+@pytest.mark.parametrize("exact_limit", [600, 0])
+def test_a_node_that_can_move_into_a_trap_never_surely_converges(exact_limit):
+    # From (1, 0) one arc lands legal and the other on the trap (1, 2),
+    # which has no moving arc: the legal set is reached with probability
+    # 1/2, so the expected time is infinite.  (0, 1) mirrors it.
+    graph = ring_graph(3, 2, table_rule({(1, 0): (1, 1), (0, 1): (2, 1)}))
+    times = hitting_times(graph, all_ones_mask(graph), exact_limit=exact_limit)
+    assert math.isinf(times.values[graph.encode((1, 0))])
+    assert math.isinf(times.values[graph.encode((0, 1))])
+    assert times.values[graph.encode((1, 1))] == 0
+    assert times.unreachable == 8 and times.transient == 0
+
+
+@pytest.mark.parametrize("exact_limit", [600, 0])
+def test_trap_verdicts_spread_back_over_illegal_predecessors(exact_limit):
+    # (3, 0) moves only to (1, 0), which can fall into a trap: both are
+    # infinite.  (1, 3) moves only into the legal set: h solves
+    # 2h = 2 + h, so h = 2, in either solver.
+    graph = ring_graph(4, 2, table_rule({(1, 0): (1, 1), (0, 1): (2, 1),
+                                         (3, 0): (1, 0), (1, 3): (1, 1)}))
+    times = hitting_times(graph, all_ones_mask(graph), exact_limit=exact_limit)
+    for digits in ((1, 0), (0, 1), (3, 0), (0, 3)):
+        assert math.isinf(times.values[graph.encode(digits)]), digits
+    for digits in ((1, 3), (3, 1)):
+        assert times.values[graph.encode(digits)] == 2, digits
+    assert times.transient == 2 and times.unreachable == 13
+    assert times.method == ("exact" if exact_limit else "iterative")
+
+
 def test_iterative_solver_matches_exact():
     graph = ring_graph(3, 4, max_rule)
     legal = bytearray(1 if all(d == 2 for d in graph.digits(node)) else 0

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 from typing import List, Tuple
 
 import pytest
 
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.coordinator_server import CoordinatorApp
+from repro.fabric import httpd
 from repro.fabric.httpd import JsonHttpServer
 
 #: A request smuggled inside a body: a server that reads past a refused
@@ -103,3 +105,32 @@ def test_good_requests_keep_the_connection_alive(server):
            b"GET /health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
     assert responses(exchange(server, raw)) == [(200, {"ok": True}),
                                                 (200, {"ok": True})]
+
+
+def test_chunked_body_is_a_411_and_ends_the_connection(server):
+    """A chunked body is refused whole: the request it carries must not
+    be answered as a second request on the same connection."""
+    chunked = (b"POST /workers HTTP/1.1\r\nHost: x\r\n"
+               b"Transfer-Encoding: chunked\r\n\r\n"
+               + f"{len(HIDDEN):x}\r\n".encode() + HIDDEN + b"\r\n0\r\n\r\n")
+    received = exchange(server, chunked)
+    assert received.startswith(b"HTTP/1.1 411 "), received
+    [(status, payload)] = responses(received)
+    assert status == 411
+    assert "Transfer-Encoding" in payload["error"]
+
+
+def test_stalled_body_times_out_and_frees_the_connection(monkeypatch):
+    """A peer that declares 100 bytes and sends 5 is answered 408 and
+    dropped once the socket timeout passes, not held until it leaves."""
+    monkeypatch.setattr(httpd, "SOCKET_TIMEOUT_S", 0.2)
+    instance = JsonHttpServer(CoordinatorApp(Coordinator())).start()
+    try:
+        started = time.monotonic()
+        [(status, payload)] = responses(
+            exchange(instance, post_claim("100", b'{"a":')))
+        assert time.monotonic() - started < 4.0
+    finally:
+        instance.close()
+    assert status == 408
+    assert "timed out" in payload["error"]
