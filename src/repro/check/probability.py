@@ -182,7 +182,8 @@ def _compile_rows(transient: List[int], distance: array, offsets: array,
     Nodes are ordered by distance from the legal set (ties by node id).  A
     row holds the node's moving-arc targets in CSR order, minus the arcs
     that stay on the node, so its length is the node's effective outflow.
-    Every row refers to one shared int object per node.
+    Rows hold one shared int object per node rather than a fresh int per
+    arc, so a row costs little more than its tuple.
     """
     order = sorted(transient, key=distance.__getitem__)
     ids = list(range(len(distance)))
@@ -248,11 +249,12 @@ def _solve_exact(nodes: List[int], rows: List[Tuple[int, ...]],
                     equations[other].pop(slot_j, None)
                     columns[slot_j].discard(other)
         columns[pivot].clear()
+        eliminated.append((pivot, pivot_row, pivot_rhs / pivot_coeff))
         # Normalize the stored row once so back-substitution is a plain dot.
-        eliminated.append((pivot,
-                           {slot_j: coeff / pivot_coeff
-                            for slot_j, coeff in pivot_row.items()},
-                           pivot_rhs / pivot_coeff))
+        eliminated[-1] = (pivot,
+                          {slot_j: coeff / pivot_coeff
+                           for slot_j, coeff in pivot_row.items()},
+                          pivot_rhs / pivot_coeff)
 
     solution: Dict[int, Fraction] = {}
     for pivot, row, value in reversed(eliminated):

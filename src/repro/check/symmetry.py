@@ -255,8 +255,10 @@ class QuotientGraph:
         reps = array("l")
         sizes = array("l")
         # Orbit index of every full configuration id, filled from each
-        # representative's images: a successor's orbit is one lookup.
-        orbit_of = array("l", [0]) * graph.num_configs
+        # representative's images: a successor's orbit is one lookup.  It
+        # grows with the full space, so it holds 4-byte ints: orbit counts
+        # stay far below 2**31 under any feasible budget.
+        orbit_of = array("i", [0]) * graph.num_configs
         encode = graph.encode
         for digits in symmetry.representatives(graph.num_states):
             orbit = len(reps)
