@@ -15,9 +15,9 @@ from typing import List, Tuple
 
 import pytest
 
+from repro.fabric import httpd
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.coordinator_server import CoordinatorApp
-from repro.fabric import httpd
 from repro.fabric.httpd import JsonHttpServer
 
 #: A request smuggled inside a body: a server that reads past a refused
