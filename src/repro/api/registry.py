@@ -34,7 +34,7 @@ from repro.analysis.convergence import ConvergenceResult
 from repro.api.config import ExperimentConfig
 from repro.api.executor import BatchRequest, TrialResult, batch_tasks, run_trials
 from repro.core.configuration import Configuration, random_configuration
-from repro.core.fast_simulator import ENGINES, BatchedSimulation
+from repro.core.fast_simulator import ENGINES, BatchedSimulation, guarded
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource
 from repro.core.simulator import Oracle, Simulation
@@ -459,9 +459,14 @@ def _ppl_factory(n: int, config: ExperimentConfig):
 
 def _ppl_safe_predicate(protocol):
     from repro.protocols.ppl import is_safe
+    from repro.protocols.ppl.stages import StageTable
 
     params = protocol.params
-    return lambda states: is_safe(states, params)
+
+    @guarded(StageTable.may_be_safe)
+    def safe(states):
+        return is_safe(states, params)
+    return safe
 
 
 def _ppl_families() -> Dict[str, ConfigurationFamily]:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import copy
 import typing
-from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.configuration import Configuration
 from repro.core.encoding import fresh_copy, state_key
@@ -108,6 +108,33 @@ class CodedTable(typing.Protocol[StateT]):
     def apply(self, arcs: Sequence[Tuple[int, int]], counts: List[int]) -> int:
         """Run the interactions of ``arcs`` in order, count each agent's in
         ``counts`` and return how many changed some state."""
+
+
+#: A stop predicate's guard: a necessary condition on the coded table.
+Guard = Callable[[CodedTable], bool]
+
+PredicateT = TypeVar("PredicateT", bound=Callable)
+
+
+def guarded(guard: Guard) -> Callable[[PredicateT], PredicateT]:
+    """A decorator that gives a stop predicate ``guard``: a condition on the
+    coded table that holds wherever the predicate does.
+
+    :meth:`BatchedSimulation.run_until` decodes the agents and calls the
+    predicate only where the guard holds, so a guard saves work and cannot
+    change a step count; the step loop never reads it.  The guard is kept in
+    the predicate's ``__dict__`` (a method's bound objects share their
+    function's), which a wrapper made with :func:`functools.wraps` copies.
+    """
+    def attach(predicate: PredicateT) -> PredicateT:
+        predicate.guard = guard  # type: ignore[attr-defined]
+        return predicate
+    return attach
+
+
+def one_leader(table: CodedTable) -> bool:
+    """Exactly one leader: the guard of every stop predicate that requires it."""
+    return table.leaders == 1
 
 
 class JointTable(Generic[StateT]):

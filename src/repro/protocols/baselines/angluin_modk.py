@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 from repro.core.errors import InvalidParameterError, InvalidStateError
+from repro.core.fast_simulator import guarded, one_leader
 from repro.core.protocol import LeaderElectionProtocol, require_in_range
 from repro.core.rng import RandomSource
 from repro.protocols.ppl.eliminate_leaders import eliminate_leaders
@@ -160,6 +161,7 @@ class AngluinModKProtocol(LeaderElectionProtocol[AngluinState]):
     # ------------------------------------------------------------------ #
     # Convergence criterion
     # ------------------------------------------------------------------ #
+    @guarded(one_leader)
     def is_stable(self, states: Sequence[AngluinState]) -> bool:
         """One leader, label-consistent everywhere, and no threat to the leader."""
         n = len(states)
@@ -179,6 +181,7 @@ class AngluinModKProtocol(LeaderElectionProtocol[AngluinState]):
                 return False
         return True
 
+    @guarded(one_leader)
     def has_undisputed_leader(self, states: Sequence[AngluinState]) -> bool:
         """Exactly one leader, and no live bullet can kill it.
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, MutableSequence, Sequence, Tuple
 
 from repro.core.errors import InvalidParameterError, InvalidStateError
+from repro.core.fast_simulator import guarded, one_leader
 from repro.core.protocol import LeaderElectionProtocol, require_in_range
 from repro.core.rng import RandomSource
 from repro.protocols.ppl.state import BULLET_DUMMY, BULLET_LIVE, BULLET_NONE
@@ -129,6 +130,7 @@ class FischerJiangProtocol(LeaderElectionProtocol[FischerJiangState]):
         yield FischerJiangState.fresh_leader()
         yield FischerJiangState.follower()
 
+    @guarded(one_leader)
     def is_stable(self, states: Sequence[FischerJiangState]) -> bool:
         """One leader and no live threat to it (the oracle being quiet is implied)."""
         leaders = [i for i, state in enumerate(states) if state.leader == 1]

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 from repro.core.errors import InvalidParameterError, InvalidStateError
+from repro.core.fast_simulator import guarded, one_leader
 from repro.core.protocol import LeaderElectionProtocol, require_in_range
 from repro.core.rng import RandomSource
 from repro.protocols.ppl.eliminate_leaders import eliminate_leaders
@@ -137,6 +138,7 @@ class Yokota2021Protocol(LeaderElectionProtocol[YokotaState]):
     # ------------------------------------------------------------------ #
     # Convergence criterion and convenience constructors
     # ------------------------------------------------------------------ #
+    @guarded(one_leader)
     def is_stable(self, states: Sequence[YokotaState]) -> bool:
         """Practical safe-configuration test: one leader, exact distances, no threats.
 

@@ -33,7 +33,12 @@ from repro.protocols.ppl.create_leader import create_leader
 from repro.protocols.ppl.determine_mode import determine_mode
 from repro.protocols.ppl.eliminate_leaders import eliminate_leaders
 from repro.protocols.ppl.move_token import move_token
-from repro.protocols.ppl.params import MODE_CONSTRUCT, MODE_DETECT, PPLParams
+from repro.protocols.ppl.params import (
+    MODE_CONSTRUCT,
+    MODE_DETECT,
+    PPLParams,
+    expected_segment_count,
+)
 from repro.protocols.ppl.state import BULLET_LIVE, PPLState, Token
 
 #: A state's component values, in ``PPLState`` field order.
@@ -149,6 +154,10 @@ class StageTable:
         self._psi = params.psi
         self._kappa_max = params.kappa_max
         self._dist_modulus = params.dist_modulus
+        self._segment_id_modulus = params.segment_id_modulus
+        # The (dist, last) of each offset from the leader in C_DL, made for
+        # the number of agents the guard last saw.
+        self._cdl_places: Tuple[Tuple[int, int], ...] = ()
         self._timer_codes = _Codebook("timers", params.timer_domain_size())
         self._segment_codes = _Codebook("segment", params.segment_domain_size())
         self._war_codes = _Codebook("war", params.war_domain_size())
@@ -243,6 +252,40 @@ class StageTable:
             counts[responder] += 1
         self.leaders = leaders
         return effective
+
+    def may_be_safe(self) -> bool:
+        """False wherever :func:`~repro.protocols.ppl.safety.is_safe` is,
+        read from the codes without decoding a state: the guard of
+        ``P_PL``'s stop predicate (:func:`~repro.core.fast_simulator.guarded`).
+
+        It checks the conjuncts of ``S_PL`` that sit in the war and segment
+        codes, with the formulas of :func:`~repro.protocols.ppl.safety.in_cdl`
+        and :func:`~repro.protocols.ppl.safety.segment_ids_consistent`:
+        exactly one leader and, at offset ``i`` from it, ``dist = i mod
+        2*psi``, ``last = 1`` exactly from ``psi*(zeta-1)`` on, and canonical
+        segment IDs that count up by one modulo ``2**psi``.  Bullets
+        (``C_PB``) and tokens are left to ``is_safe``.
+        """
+        if self.leaders != 1:
+            return False
+        leader = list(map(self._leader_of.__getitem__, self._wars)).index(1)
+        ring = self._segments[leader:] + self._segments[:leader]
+        n, psi = len(ring), self._psi
+        zeta = expected_segment_count(n, psi)
+        places = self._cdl_places
+        if len(places) != n:
+            modulus, last_segment_start = self._dist_modulus, psi * (zeta - 1)
+            places = self._cdl_places = tuple(
+                (offset % modulus, int(offset >= last_segment_start))
+                for offset in range(n))
+        values = self._segment_codes.values
+        if tuple(values[code][1:3] for code in ring) != places:
+            return False
+        bits = [values[code][0] for code in ring]
+        ids = [sum(bits[rank * psi + position] << position for position in range(psi))
+               for rank in range(zeta - 1)]
+        modulus = self._segment_id_modulus
+        return all(ids[rank + 1] == (ids[rank] + 1) % modulus for rank in range(zeta - 2))
 
     # ------------------------------------------------------------------ #
     # Filling the tables (the misses)
