@@ -468,13 +468,20 @@ class BatchedSimulation(Generic[StateT]):
 
         The predicate sees the table's view: on the joint table agents in
         equal states share one object, so predicates must treat the
-        sequence as read-only (all predicates in this package do).
+        sequence as read-only (all predicates in this package do).  A
+        predicate's guard (:func:`guarded`) is evaluated on the table first,
+        and the agents are decoded for the predicate only where it holds.
         """
         if max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {max_steps}")
         cap = resolve_check_cap(check_interval, check_backoff, check_interval_cap)
-        view = self._table.view
-        if predicate(view()):
+        table = self._table
+        guard = getattr(predicate, "guard", None)
+
+        def satisfied() -> bool:
+            return (guard is None or guard(table)) and predicate(table.view())
+
+        if satisfied():
             return RunResult(True, 0, self.configuration())
         executed = 0
         interval = check_interval
@@ -482,7 +489,7 @@ class BatchedSimulation(Generic[StateT]):
             burst = min(interval, max_steps - executed)
             self._advance_chunked(burst)
             executed += burst
-            if predicate(view()):
+            if satisfied():
                 return RunResult(True, executed, self.configuration())
             if check_backoff and interval < cap:
                 interval = min(interval * 2, cap)

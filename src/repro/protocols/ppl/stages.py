@@ -25,7 +25,7 @@ filling with new states.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.errors import StateSpaceError
@@ -155,9 +155,13 @@ class StageTable:
         self._kappa_max = params.kappa_max
         self._dist_modulus = params.dist_modulus
         self._segment_id_modulus = params.segment_id_modulus
-        # The (dist, last) of each offset from the leader in C_DL, made for
-        # the number of agents the guard last saw.
-        self._cdl_places: Tuple[Tuple[int, int], ...] = ()
+        # Segment code -> its dist * 2 + last, and its b (for the guard).
+        self._place_of: List[int] = []
+        self._b_of: List[int] = []
+        # What the guard compares with (see _lay_out).
+        self._cdl_places: List[int] = []
+        self._id_weights: List[int] = []
+        self._canonical_segments: List[slice] = []
         self._timer_codes = _Codebook("timers", params.timer_domain_size())
         self._segment_codes = _Codebook("segment", params.segment_domain_size())
         self._war_codes = _Codebook("war", params.war_domain_size())
@@ -270,22 +274,31 @@ class StageTable:
             return False
         leader = list(map(self._leader_of.__getitem__, self._wars)).index(1)
         ring = self._segments[leader:] + self._segments[:leader]
-        n, psi = len(ring), self._psi
-        zeta = expected_segment_count(n, psi)
-        places = self._cdl_places
-        if len(places) != n:
-            modulus, last_segment_start = self._dist_modulus, psi * (zeta - 1)
-            places = self._cdl_places = tuple(
-                (offset % modulus, int(offset >= last_segment_start))
-                for offset in range(n))
-        values = self._segment_codes.values
-        if tuple(values[code][1:3] for code in ring) != places:
+        places, bits = self._place_of, self._b_of
+        for b, dist, last, _, _ in self._segment_codes.values[len(places):]:
+            places.append(dist * 2 + last)
+            bits.append(b)
+        if len(self._cdl_places) != len(ring):
+            self._lay_out(len(ring))
+        if list(map(places.__getitem__, ring)) != self._cdl_places:
             return False
-        bits = [values[code][0] for code in ring]
-        ids = [sum(bits[rank * psi + position] << position for position in range(psi))
-               for rank in range(zeta - 1)]
+        weighted = list(map(mul, map(bits.__getitem__, ring), self._id_weights))
+        ids = list(map(sum, map(weighted.__getitem__, self._canonical_segments)))
         modulus = self._segment_id_modulus
-        return all(ids[rank + 1] == (ids[rank] + 1) % modulus for rank in range(zeta - 2))
+        return ids[1:] == [(ident + 1) % modulus for ident in ids[:-1]]
+
+    def _lay_out(self, n: int) -> None:
+        """Make what :meth:`may_be_safe` compares a ring of ``n`` agents
+        with, read from the leader on: each offset's ``dist * 2 + last`` in
+        ``C_DL``, the weight of each bit of the canonical segments ``S_0 ..
+        S_{zeta-2}`` in its segment's ID, and their slices."""
+        psi = self._psi
+        last_segment_start = psi * (expected_segment_count(n, psi) - 1)
+        self._cdl_places = [(offset % self._dist_modulus) * 2 + int(offset >= last_segment_start)
+                            for offset in range(n)]
+        self._id_weights = [1 << (offset % psi) for offset in range(last_segment_start)]
+        self._canonical_segments = [slice(start, start + psi)
+                                    for start in range(0, last_segment_start, psi)]
 
     # ------------------------------------------------------------------ #
     # Filling the tables (the misses)
