@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.api import ExperimentConfig, run_trials, trial_tasks
+from repro.api import BatchRequest, ExperimentConfig, run_batches, run_trials, trial_tasks
 from repro.experiments.reporting import format_table
 
 #: Trials per ring size — enough to occupy a small pool several times over.
@@ -39,7 +39,11 @@ def _timed(fn) -> tuple:
 
 
 def test_parallel_sweep_speedup(benchmark, bench_config):
-    """Parallel-vs-serial wall time over the full sweep, identical results."""
+    """Parallel-vs-serial wall time over the full sweep, identical results.
+
+    The serial side runs one batch per size in process; the parallel side
+    runs all sizes' trials in one ``run_batches`` call, on one pool.
+    """
     workers = _workers()
     sizes = bench_config.sizes
 
@@ -51,9 +55,11 @@ def test_parallel_sweep_speedup(benchmark, bench_config):
         serial_time += elapsed
 
     def parallel_sweep():
-        return {
-            n: run_trials(_batch(bench_config, n), workers=workers) for n in sizes
-        }
+        # One run_batches call over every size, on one pool: how the sweep
+        # CLIs run a parallel sweep.
+        requests = [BatchRequest("ppl", n, bench_config, family="adversarial",
+                                 trials=TRIALS) for n in sizes]
+        return dict(zip(sizes, run_batches(requests, workers=workers)))
 
     parallel_results, parallel_time = _timed(
         lambda: benchmark.pedantic(parallel_sweep, rounds=1, iterations=1)
