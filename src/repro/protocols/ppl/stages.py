@@ -147,7 +147,8 @@ class StageTable:
     change a result.
 
     Implements the engine's coded-table interface
-    (:class:`~repro.core.fast_simulator.CodedTable`).
+    (:class:`~repro.core.fast_simulator.CodedTable`), and
+    :meth:`may_be_safe`, the guard of ``P_PL``'s stop predicate.
     """
 
     def __init__(self, params: PPLParams) -> None:
@@ -155,13 +156,6 @@ class StageTable:
         self._kappa_max = params.kappa_max
         self._dist_modulus = params.dist_modulus
         self._segment_id_modulus = params.segment_id_modulus
-        # Segment code -> its dist * 2 + last, and its b (for the guard).
-        self._place_of: List[int] = []
-        self._b_of: List[int] = []
-        # What the guard compares with (see _lay_out).
-        self._cdl_places: List[int] = []
-        self._id_weights: List[int] = []
-        self._canonical_segments: List[slice] = []
         self._timer_codes = _Codebook("timers", params.timer_domain_size())
         self._segment_codes = _Codebook("segment", params.segment_domain_size())
         self._war_codes = _Codebook("war", params.war_domain_size())
@@ -180,6 +174,13 @@ class StageTable:
         self._wars: List[int] = []
         #: The number of agents in a leader state.
         self.leaders = 0
+        # For the guard (may_be_safe): segment code -> its dist * 2 + last
+        # and its b, and what it compares them with (see _lay_out).
+        self._place_of_segment: List[int] = []
+        self._b_of_segment: List[int] = []
+        self._cdl_places: List[int] = []
+        self._id_weights: List[int] = []
+        self._canonical_segments: List[slice] = []
 
     # ------------------------------------------------------------------ #
     # The engine's interface
@@ -274,7 +275,7 @@ class StageTable:
             return False
         leader = list(map(self._leader_of.__getitem__, self._wars)).index(1)
         ring = self._segments[leader:] + self._segments[:leader]
-        places, bits = self._place_of, self._b_of
+        places, bits = self._place_of_segment, self._b_of_segment
         for b, dist, last, _, _ in self._segment_codes.values[len(places):]:
             places.append(dist * 2 + last)
             bits.append(b)

@@ -15,49 +15,23 @@ from __future__ import annotations
 import functools
 
 import pytest
+from test_fast_simulator import SPEC_TOPOLOGY_GRID, _grid_size
 
-from repro.api import ExperimentConfig, get_spec, list_specs
+from repro.api import ExperimentConfig, get_spec
 from repro.core.configuration import Configuration
-from repro.core.fast_simulator import BatchedSimulation, one_leader
+from repro.core.fast_simulator import one_leader
 from repro.core.rng import RandomSource
-from repro.core.simulator import Simulation
 from repro.protocols.baselines.fischer_jiang import FischerJiangState
 from repro.protocols.ppl.stages import StageTable
-from repro.topology.registry import topology_names, validate_topology
 
 ENGINES = ("step", "batched")
-
-
-def _grid():
-    for spec in list_specs():
-        if not spec.is_simulated:
-            continue
-        names = (spec.supported_topologies
-                 if spec.supported_topologies is not None else topology_names())
-        for topology in names:
-            yield spec.name, topology
-
-
-GRID = sorted(_grid())
-
-
-def _size(spec, topology: str) -> int:
-    """The smallest size from 8 that the spec and the topology both take."""
-    for n in range(8, 40):
-        try:
-            validate_topology(topology, n)
-        except ValueError:
-            continue
-        if spec.supports(n):
-            return n
-    raise AssertionError(f"no size for {spec.name} on {topology}")
 
 
 def _ingredients(name: str, topology: str = "directed-ring", family=None, seed: int = 3,
                  n=None, kappa_factor: int = 4):
     spec = get_spec(name)
     config = ExperimentConfig(topology=topology, kappa_factor=kappa_factor)
-    n = n if n is not None else _size(spec, topology)
+    n = n if n is not None else _grid_size(spec, topology)
     protocol = spec.build_protocol(n, config)
     population = spec.build_population(n, config)
     initial = spec.build_configuration(family or spec.default_family, protocol, n,
@@ -83,7 +57,7 @@ def _assert_same_stop(spec, protocol, population, initial, **kwargs):
 
 
 @pytest.mark.parametrize("check_interval", [1, 128])
-@pytest.mark.parametrize("name,topology", GRID)
+@pytest.mark.parametrize("name,topology", SPEC_TOPOLOGY_GRID)
 def test_both_engines_stop_at_the_same_step(name, topology, check_interval):
     for seed in (3, 4):
         _assert_same_stop(*_ingredients(name, topology, seed=seed),
@@ -172,19 +146,3 @@ def test_a_wrapped_predicate_keeps_its_guard(name, family, guard):
     assert calls["step"] == checks
     assert 1 <= calls["batched"] < checks // 2
 
-
-def test_a_predicate_without_a_guard_is_called_on_every_check():
-    spec, protocol, population, initial = _ingredients("yokota2021", n=16)
-    calls = []
-
-    def unguarded(states):
-        calls.append(1)
-        return protocol.is_stable(states)
-
-    simulation = BatchedSimulation(protocol, population, initial, rng=7)
-    result = simulation.run_until(unguarded, max_steps=200_000, check_interval=16)
-    assert result.satisfied
-    assert len(calls) == result.steps // 16 + 1
-    step = Simulation(protocol, population, initial, rng=7).run_until(
-        protocol.is_stable, max_steps=200_000, check_interval=16)
-    assert step.steps == result.steps

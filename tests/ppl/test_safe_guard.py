@@ -78,7 +78,8 @@ def _perfect(n: int, params, leader_at: int, start_id: int):
 
 
 def _starts(n: int, params):
-    """Leader positions, and first segment IDs up to the wrapping ones."""
+    """Leader positions, and first segment IDs, the last two of which make
+    a later segment's ID wrap."""
     modulus = params.segment_id_modulus
     for leader_at in sorted({0, 1, n // 2, n - 1}):
         for start_id in (0, 3, modulus - 2, modulus - 1):
@@ -86,26 +87,14 @@ def _starts(n: int, params):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_perfect_configurations_pass_the_guard_wherever_the_leader_sits(n):
+def test_perfect_configurations_are_safe_and_pass_the_guard(n):
+    """Wherever the leader sits, and with segment IDs that run past
+    ``2**psi - 1`` and start again at 0: ``S_PL`` counts them modulo
+    ``2**psi``, so such a ring is safe."""
     params = _protocol(n).params
+    assert expected_segment_count(n, params.psi) >= 3, "an ID can wrap between two segments"
     for leader_at, start_id in _starts(n, params):
-        states = _perfect(n, params, leader_at, start_id)
-        assert _assert_sound(states, params)
-        assert _guard(states, params)
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_segment_ids_that_wrap_are_safe_and_pass_the_guard(n):
-    """``S_PL`` counts segment IDs modulo ``2**psi``: a ring whose IDs run
-    past ``2**psi - 1`` and start again at 0 is safe."""
-    params = _protocol(n).params
-    zeta = expected_segment_count(n, params.psi)
-    modulus = params.segment_id_modulus
-    start_id = modulus - 1
-    assert zeta >= 3, "two canonical segments: the ID runs from 2**psi - 1 to 0"
-    for leader_at in (0, n // 3):
-        states = _perfect(n, params, leader_at, start_id)
-        assert _assert_sound(states, params)
+        assert _assert_sound(_perfect(n, params, leader_at, start_id), params)
 
 
 def _one_change(states, params, leader: int):
