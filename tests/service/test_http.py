@@ -106,9 +106,12 @@ def test_submit_then_status_then_result_via_route():
 
 
 def test_delete_cancels_via_route():
-    server = ExperimentServer(JobManager())
+    # Gated, so the job cannot finish before the DELETE arrives.
+    pool = GatedPool()
+    server = ExperimentServer(JobManager(backend=pool))
     _, created = server.handle("POST", "/jobs", PAYLOAD)
     status, payload = server.handle("DELETE", f"/jobs/{created['id']}", None)
+    pool.gate.set()
     server.manager.drain()
     assert status == 200 and payload["cancel_requested"] is True
     assert server.manager.get(created["id"]).terminal
