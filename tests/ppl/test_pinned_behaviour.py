@@ -11,16 +11,24 @@ reproduce them bit for bit.  Two complementary pins:
 * per-trial steps and a final-configuration digest of ``n = 16`` trials
   from five adversarial families, on both engines, run to the safety
   predicate with ``check_interval = 1`` (true hitting times).
+
+The steps of the two commands that build their own ``P_PL`` run on the
+table engine, ``demo`` and the orientation pipeline's election phase, are
+pinned too: the stop check they pass to ``run_until`` may skip work but
+never move a stop.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from repro.api import ExperimentConfig, get_spec
+from repro.cli import main
 from repro.core.rng import RandomSource
+from repro.protocols.orientation.pipeline import OrientedRingPipeline
 from repro.protocols.ppl import PPLParams, PPLProtocol, random_state
 
 #: State pairs drawn per parameter set (four sets: 20,000 pairs in all).
@@ -56,6 +64,13 @@ TRIALS = {
                        (721, True, "6dfe65467694d3946f3bc95f866a0b43"),
                        (8, True, "4058b322b938ab6001c64c8160fe0da6")],
 }
+
+#: ``demo --sizes N --format json`` at its other defaults: ``n -> steps``.
+DEMO_STEPS = {8: 384, 32: 6016}
+
+#: ``OrientedRingPipeline(n=12, seed=3).run_election_phase``: steps and
+#: the leader's index.
+ELECTION = (528, 2)
 
 
 def _digest(rows) -> str:
@@ -108,3 +123,17 @@ def test_trials_are_pinned_on_both_engines(family, engine):
     outcomes = [trial_outcome(family, trial, engine)
                 for trial in range(TRIALS_PER_FAMILY)]
     assert outcomes == TRIALS[family]
+
+
+@pytest.mark.parametrize("n", sorted(DEMO_STEPS))
+def test_demo_steps_are_pinned(n, capsys):
+    assert main(["demo", "--sizes", str(n), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["converged"], payload["steps"]) == (True, DEMO_STEPS[n])
+
+
+def test_election_phase_steps_are_pinned():
+    pipeline = OrientedRingPipeline(n=12, seed=3)
+    elected, steps = pipeline.run_election_phase(max_steps=2_000_000)
+    leaders = [agent for agent, state in enumerate(elected) if state.leader == 1]
+    assert (steps, leaders) == (ELECTION[0], [ELECTION[1]])
