@@ -33,12 +33,6 @@ class ExperimentConfig:
     table, ``"step"`` the step loop, for every simulated spec.  Both engines
     produce bit-identical trial results for the same seed.
 
-    ``check_backoff`` turns on the geometric check-interval backoff in
-    ``run_until``: the interval between stop-predicate evaluations starts at
-    ``check_interval`` and doubles (up to an engine-shared cap) after every
-    unsatisfied check.  Off by default — with it off, reported step counts
-    are identical to all previous releases.
-
     ``topology`` names the population graph every trial runs on (a
     :mod:`repro.topology.registry` name; default: the paper's directed
     ring), and ``topology_params`` carries its constructor parameters as a
@@ -63,7 +57,6 @@ class ExperimentConfig:
     engine: str = "auto"
     topology: str = DEFAULT_TOPOLOGY
     topology_params: Tuple[Tuple[str, int], ...] = ()
-    check_backoff: bool = False
     scenario: Tuple = ()
 
     def __post_init__(self) -> None:

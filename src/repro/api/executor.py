@@ -225,7 +225,6 @@ def execute_trial(task: TrialTask) -> TrialResult:
         predicate,
         max_steps=task.config.max_steps,
         check_interval=task.config.check_interval,
-        check_backoff=task.config.check_backoff,
     )
     return TrialResult(
         trial=task.trial,

@@ -34,7 +34,7 @@ from repro.analysis.convergence import ConvergenceResult
 from repro.api.config import ExperimentConfig
 from repro.api.executor import BatchRequest, TrialResult, batch_tasks, run_trials
 from repro.core.configuration import Configuration, random_configuration
-from repro.core.fast_simulator import ENGINES, BatchedSimulation, guarded
+from repro.core.fast_simulator import ENGINES, BatchedSimulation
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource
 from repro.core.simulator import Oracle, Simulation
@@ -457,18 +457,6 @@ def _ppl_factory(n: int, config: ExperimentConfig):
     return PPLProtocol.for_population(n, kappa_factor=config.kappa_factor)
 
 
-def _ppl_safe_predicate(protocol):
-    from repro.protocols.ppl import is_safe
-    from repro.protocols.ppl.stages import StageTable
-
-    params = protocol.params
-
-    @guarded(StageTable.may_be_safe)
-    def safe(states):
-        return is_safe(states, params)
-    return safe
-
-
 def _ppl_families() -> Dict[str, ConfigurationFamily]:
     from repro.adversary.initial_configs import ADVERSARIES
 
@@ -596,7 +584,7 @@ def _register_builtin_specs() -> None:
         summary="this work: P_PL, polylog(n)-state SS-LE in O(n^2 log n) steps",
         factory=_ppl_factory,
         families=_ppl_families(),
-        stop_predicate=_ppl_safe_predicate,
+        stop_predicate=_stable_predicate,
         # P_PL's segments/tokens are defined by the ring orientation; running
         # it elsewhere would be a category error, so mismatches fail fast.
         supported_topologies=("directed-ring",),

@@ -185,8 +185,7 @@ def _quant_point(spec: ProtocolSpec, policy: CheckPolicy, topology: str,
     # graph: a random family can draw a state the coverage probe missed,
     # and every sampled start must be a node of the chain being solved.
     gate_config = replace(config, sizes=(n,), topology=topology,
-                          topology_params=(), check_interval=1,
-                          check_backoff=False, scenario=(),
+                          topology_params=(), check_interval=1, scenario=(),
                           trials=max(trials, 1))
     tasks = trial_tasks(spec.name, n, gate_config, spec.default_family,
                         trials=trials if simulate else 1,

@@ -161,11 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation engine: auto runs the batched engine's "
                             "lazily filled transition table; results are "
                             "bit-identical on both engines (default: auto)")
-    sweep.add_argument("--check-backoff", action="store_true",
-                       help="double the stop-predicate check interval after every "
-                            "unsatisfied check (geometric backoff, capped), trading "
-                            "a bounded step-count overshoot for fewer predicate "
-                            "evaluations on long runs (default: off)")
 
     topo = argparse.ArgumentParser(add_help=False)
     topo.add_argument("--topology", default=DEFAULT_TOPOLOGY, metavar="NAME[:K=V,...]",
@@ -410,25 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_auto_engine(args: argparse.Namespace) -> None:
-    """Reject engine tuning flags on commands that drive bespoke simulations.
+    """Reject ``--engine`` on commands that drive bespoke simulations.
 
     The detection/elimination/orientation/figure/demo experiments construct
     their own simulations (trajectories, custom stop conditions) on a fixed
     engine — the table engine for ``figure1`` and ``demo``, the step loop
-    for the rest — with their own run_until cadence; silently ignoring an
-    explicit ``--engine`` or ``--check-backoff`` there would misreport what
-    actually ran.
+    for the rest; silently ignoring an explicit ``--engine`` there would
+    misreport what actually ran.
     """
     if args.engine != "auto":
         raise CommandError(
             f"{args.command!r} drives bespoke simulations on a fixed engine; "
             "--engine does not apply (supported by: run, table1, scaling)"
-        )
-    if args.check_backoff:
-        raise CommandError(
-            f"{args.command!r} drives bespoke simulations with their own "
-            "check cadence; --check-backoff does not apply "
-            "(supported by: run, table1, scaling)"
         )
 
 
@@ -472,7 +460,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         engine=args.engine,
         topology=topology,
         topology_params=freeze_topology_params(topology_params),
-        check_backoff=args.check_backoff,
         # Only `run` has --scenario; the other sweep commands drive bespoke
         # experiment harnesses where a phased scenario has no meaning.
         scenario=getattr(args, "scenario", None) or (),
@@ -1122,7 +1109,7 @@ def _cmd_figure2(args: argparse.Namespace) -> CommandOutput:
 def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
     _require_auto_engine(args)
     from repro import BatchedSimulation, DirectedRing, PPLProtocol
-    from repro.protocols.ppl import adversarial_configuration, is_safe, summary
+    from repro.protocols.ppl import adversarial_configuration, summary
 
     config = _config_from_args(args)
     n = min(config.sizes)
@@ -1132,7 +1119,7 @@ def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
     simulation = BatchedSimulation(protocol, ring, start, rng=config.seed + 1)
     start_summary = summary(simulation.states(), protocol.params)
     result = simulation.run_until(
-        lambda states: is_safe(states, protocol.params),
+        protocol.is_stable,
         max_steps=config.max_steps,
         check_interval=config.check_interval,
     )

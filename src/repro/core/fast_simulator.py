@@ -65,7 +65,7 @@ from repro.core.metrics import StepMetrics
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource, ensure_source
 from repro.core.scheduler import Scheduler
-from repro.core.simulator import Oracle, RunResult, StatePredicate, resolve_check_cap
+from repro.core.simulator import Oracle, RunResult, StatePredicate
 from repro.topology.graph import Population
 
 StateT = TypeVar("StateT")
@@ -459,12 +459,9 @@ class BatchedSimulation(Generic[StateT]):
         predicate: StatePredicate,
         max_steps: int,
         check_interval: int = 1,
-        check_backoff: bool = False,
-        check_interval_cap: Optional[int] = None,
     ) -> RunResult[StateT]:
         """Run until ``predicate(states)`` holds — identical semantics (and,
-        per arc stream, identical step counts) to :meth:`Simulation.run_until`,
-        including the optional geometric check-interval backoff.
+        per arc stream, identical step counts) to :meth:`Simulation.run_until`.
 
         The predicate sees the table's view: on the joint table agents in
         equal states share one object, so predicates must treat the
@@ -474,7 +471,8 @@ class BatchedSimulation(Generic[StateT]):
         """
         if max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-        cap = resolve_check_cap(check_interval, check_backoff, check_interval_cap)
+        if check_interval < 1:
+            raise ValueError(f"check_interval must be positive, got {check_interval}")
         table = self._table
         guard = getattr(predicate, "guard", None)
 
@@ -484,15 +482,12 @@ class BatchedSimulation(Generic[StateT]):
         if satisfied():
             return RunResult(True, 0, self.configuration())
         executed = 0
-        interval = check_interval
         while executed < max_steps:
-            burst = min(interval, max_steps - executed)
+            burst = min(check_interval, max_steps - executed)
             self._advance_chunked(burst)
             executed += burst
             if satisfied():
                 return RunResult(True, executed, self.configuration())
-            if check_backoff and interval < cap:
-                interval = min(interval * 2, cap)
         return RunResult(False, executed, self.configuration())
 
     def _advance(self, count: int) -> None:

@@ -56,36 +56,6 @@ class Oracle(typing.Protocol):
         mutating a state object) and return True when it did."""
 
 
-#: Default ceiling of the geometric check-interval backoff (see
-#: :func:`resolve_check_cap`): long pre-convergence phases stop paying a
-#: predicate decode every ``check_interval`` steps, while the worst-case
-#: overshoot past the true hitting time stays bounded.
-DEFAULT_CHECK_INTERVAL_CAP = 65_536
-
-
-def resolve_check_cap(check_interval: int, check_backoff: bool,
-                      check_interval_cap: Optional[int]) -> int:
-    """Validate and resolve the burst ceiling for ``run_until``.
-
-    Shared by every engine so the burst schedule — and therefore the exact
-    number of scheduler draws between predicate checks — is identical across
-    engines for the same arguments, keeping cross-engine step counts
-    bit-identical whether backoff is on or off.
-    """
-    if check_interval < 1:
-        raise ValueError(f"check_interval must be positive, got {check_interval}")
-    if not check_backoff:
-        return check_interval
-    if check_interval_cap is None:
-        return max(check_interval, DEFAULT_CHECK_INTERVAL_CAP)
-    if check_interval_cap < check_interval:
-        raise ValueError(
-            f"check_interval_cap must be >= check_interval "
-            f"({check_interval}), got {check_interval_cap}"
-        )
-    return check_interval_cap
-
-
 @dataclass
 class RunResult(Generic[StateT]):
     """Outcome of :meth:`Simulation.run_until`."""
@@ -281,8 +251,6 @@ class Simulation(Generic[StateT]):
         predicate: StatePredicate,
         max_steps: int,
         check_interval: int = 1,
-        check_backoff: bool = False,
-        check_interval_cap: Optional[int] = None,
     ) -> RunResult[StateT]:
         """Run until ``predicate(states)`` holds, checking every ``check_interval`` steps.
 
@@ -290,30 +258,21 @@ class Simulation(Generic[StateT]):
         first step and then after every ``check_interval`` steps, so the
         reported step count overshoots the true hitting time by at most
         ``check_interval - 1`` steps.
-
-        ``check_backoff=True`` doubles the interval after every unsatisfied
-        check, up to ``check_interval_cap`` (default
-        :data:`DEFAULT_CHECK_INTERVAL_CAP`), trading overshoot (bounded by
-        the cap) for fewer predicate evaluations during long pre-convergence
-        phases.  The backoff schedule is identical across engines, so step
-        counts still agree engine-to-engine for the same arc stream.
         """
         if max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-        cap = resolve_check_cap(check_interval, check_backoff, check_interval_cap)
+        if check_interval < 1:
+            raise ValueError(f"check_interval must be positive, got {check_interval}")
         if predicate(self._states):
             return RunResult(True, 0, self.configuration())
         executed = 0
-        interval = check_interval
         while executed < max_steps:
-            burst = min(interval, max_steps - executed)
+            burst = min(check_interval, max_steps - executed)
             for _ in range(burst):
                 self.step()
             executed += burst
             if predicate(self._states):
                 return RunResult(True, executed, self.configuration())
-            if check_backoff and interval < cap:
-                interval = min(interval * 2, cap)
         return RunResult(False, executed, self.configuration())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

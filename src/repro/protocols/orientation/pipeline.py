@@ -40,7 +40,7 @@ from repro.protocols.orientation.two_hop_coloring import (
     memories_match_neighbors,
     random_coloring_configuration,
 )
-from repro.protocols.ppl import PPLProtocol, adversarial_configuration, is_safe
+from repro.protocols.ppl import PPLProtocol, adversarial_configuration
 from repro.topology.ring import DirectedRing, UndirectedRing
 
 
@@ -117,15 +117,12 @@ class OrientedRingPipeline:
         start = adversarial_configuration(self.n, protocol.params, rng=self.seed + 31)
         simulation = BatchedSimulation(protocol, self.directed_ring, start, rng=self.seed + 32)
         result = simulation.run_until(
-            lambda states: is_safe(states, protocol.params),
+            protocol.is_stable,
             max_steps=max_steps,
             check_interval=max(16, self.n),
         )
         result.require_satisfied()
-        leaders = [
-            index for index, state in enumerate(result.configuration) if state.leader == 1
-        ]
-        return result.configuration, result.steps if leaders else result.steps
+        return result.configuration, result.steps
 
     def run(self, max_steps_per_phase: int) -> PipelineResult:
         """Run all three phases, raising :class:`ConvergenceError` on any failure."""

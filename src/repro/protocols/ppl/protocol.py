@@ -14,12 +14,14 @@ that memoizes each stage on its own.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
+from repro.core.fast_simulator import guarded
 from repro.core.protocol import LeaderElectionProtocol
 from repro.core.rng import RandomSource
 from repro.protocols.ppl.determine_mode import determine_mode
 from repro.protocols.ppl.params import PPLParams
+from repro.protocols.ppl.safety import is_safe
 from repro.protocols.ppl.stages import StageTable, segment_stage, war_stage
 from repro.protocols.ppl.state import PPLState, random_state, validate_state
 
@@ -105,8 +107,18 @@ class PPLProtocol(LeaderElectionProtocol[PPLState]):
         yield PPLState.follower(dist=1)
 
     # ------------------------------------------------------------------ #
-    # Convenience constructors
+    # Convergence criterion and convenience constructors
     # ------------------------------------------------------------------ #
+    @guarded(StageTable.may_be_safe)
+    def is_stable(self, states: Sequence[PPLState]) -> bool:
+        """The stop predicate of every ``P_PL`` run: ``states`` form a safe
+        configuration (``S_PL``, :func:`~repro.protocols.ppl.safety.is_safe`).
+
+        On the table engine it runs only where its guard,
+        :meth:`StageTable.may_be_safe`, holds on the codes.
+        """
+        return is_safe(states, self._params)
+
     @classmethod
     def for_population(cls, n: int, slack: int = 0, kappa_factor: int = 32) -> "PPLProtocol":
         """Instance whose knowledge ``psi`` matches a ring of ``n`` agents."""

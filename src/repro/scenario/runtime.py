@@ -122,7 +122,6 @@ def execute_scenario(spec, task: TrialTask, protocol, population,
                 predicate,
                 max_steps=phase.budget or config.max_steps,
                 check_interval=config.check_interval,
-                check_backoff=config.check_backoff,
             )
             phase_steps, phase_converged = run.steps, run.satisfied
         states = simulation.states()

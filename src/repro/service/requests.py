@@ -57,7 +57,7 @@ _CONFIG_KEYS: Dict[str, Tuple[type, Optional[int]]] = {
 
 _KNOWN_KEYS = frozenset(
     ("protocol", "sizes", "family", "engine", "topology", "topology_params",
-     "check_backoff", "scenario", *_CONFIG_KEYS)
+     "scenario", *_CONFIG_KEYS)
 )
 
 
@@ -161,9 +161,6 @@ class JobRequest:
         engine = payload.get("engine", ExperimentConfig.engine)
         _require(isinstance(engine, str),
                  f"'engine' must be a string, got {engine!r}")
-        check_backoff = payload.get("check_backoff", False)
-        _require(isinstance(check_backoff, bool),
-                 f"'check_backoff' must be a boolean, got {check_backoff!r}")
         sizes = _parse_sizes(payload)
         topology, topology_params = _parse_topology(payload)
         scenario = _parse_request_scenario(payload)
@@ -184,7 +181,6 @@ class JobRequest:
             engine=engine,
             topology=topology,
             topology_params=topology_params,
-            check_backoff=check_backoff,
             scenario=scenario,
         )
         return cls(protocol=protocol, sizes=sizes, family=family,
@@ -232,6 +228,5 @@ class JobRequest:
             "engine": self.config.engine,
             "topology": self.config.topology,
             "topology_params": dict(self.config.topology_params),
-            "check_backoff": self.config.check_backoff,
             "scenario": scenario_to_json(self.config.scenario),
         }

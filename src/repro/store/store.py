@@ -24,7 +24,8 @@ Key derivation
   results by construction — asserted by the cross-engine identity suites —
   so a batch computed on one tier serves requests for any other); future
   config fields are included automatically, mirroring
-  :meth:`ExperimentConfig.cache_key`;
+  :meth:`ExperimentConfig.cache_key`, and retired ones stay in at their
+  fixed value (:data:`LEGACY_CONFIG_FIELDS`);
 * :data:`SCHEMA_VERSION`, so a record format change invalidates every old
   record instead of misreading it.
 
@@ -75,6 +76,11 @@ ENV_VAR = "REPRO_STORE"
 #: Config fields that do not affect per-trial outcomes (see module docstring).
 _NON_IDENTITY_FIELDS = frozenset({"sizes", "trials", "engine"})
 
+#: Retired config fields at the one value every run now has. Each digest
+#: written while a field existed hashes it, so it stays in the canonical
+#: config and those records stay warm.
+LEGACY_CONFIG_FIELDS: Dict[str, object] = {"check_backoff": False}
+
 #: TrialResult fields, in record order, with their required JSON types.
 _TRIAL_FIELDS: Tuple[Tuple[str, type], ...] = (
     ("trial", int),
@@ -116,9 +122,10 @@ def canonical_config(config: ExperimentConfig) -> Dict[str, object]:
     digest it had before scenarios existed, keeping every pre-scenario
     record warm.  Non-empty scenarios *are* hashed (nested tuples as JSON
     lists), so a perturb-and-re-converge run never collides with the plain
-    run it started from.
+    run it started from.  Retired fields are always written at their fixed
+    value (:data:`LEGACY_CONFIG_FIELDS`), for the same reason.
     """
-    payload: Dict[str, object] = {}
+    payload: Dict[str, object] = dict(LEGACY_CONFIG_FIELDS)
     for field in dataclasses.fields(config):
         if field.name in _NON_IDENTITY_FIELDS:
             continue

@@ -349,40 +349,11 @@ def test_run_until_semantics_match_the_step_engine():
 
 
 # ---------------------------------------------------------------------- #
-# Check-interval backoff
+# Stopping across table rebuilds
 # ---------------------------------------------------------------------- #
-def _backoff_ingredients():
-    spec, protocol, population, initial = _trial_ingredients("angluin-modk")
-    predicate = spec.build_stop_predicate(protocol, population)
-    return protocol, population, initial, predicate
-
-
-def test_backoff_off_is_the_fixed_interval_engine():
-    protocol, population, initial, predicate = _backoff_ingredients()
-    plain = BatchedSimulation(protocol, population, initial, rng=5).run_until(
-        predicate, max_steps=400_000, check_interval=64
-    )
-    explicit_off = BatchedSimulation(protocol, population, initial, rng=5).run_until(
-        predicate, max_steps=400_000, check_interval=64, check_backoff=False
-    )
-    assert (plain.satisfied, plain.steps) == (explicit_off.satisfied,
-                                              explicit_off.steps)
-
-
-def test_backoff_schedule_is_identical_across_all_engines():
-    protocol, population, initial, predicate = _backoff_ingredients()
-    outcomes = []
-    for engine in (Simulation, BatchedSimulation):
-        run = engine(protocol, population, initial, rng=5).run_until(
-            predicate, max_steps=400_000, check_interval=16, check_backoff=True
-        )
-        outcomes.append((run.satisfied, run.steps))
-    assert outcomes[0] == outcomes[1]
-
-
 @pytest.mark.parametrize("name", ["yokota2021"])
-def test_backoff_schedule_survives_table_rebuilds(name, monkeypatch):
-    """The doubling check schedule on the [28] baseline, with the table
+def test_run_until_survives_table_rebuilds(name, monkeypatch):
+    """A run checked every step on the [28] baseline, with the table
     rebuilt mid-run, stops where the step loop stops.  (``ppl`` runs on its
     stage tables: ``tests/ppl/test_stage_table.py``.)"""
     monkeypatch.setattr(fast_simulator, "MAX_CODED_STATES", 4)
@@ -398,29 +369,13 @@ def test_backoff_schedule_survives_table_rebuilds(name, monkeypatch):
     predicate = spec.build_stop_predicate(protocol, population)
     runs = [
         engine(protocol, population, initial, rng=5).run_until(
-            predicate, max_steps=400_000, check_interval=1, check_backoff=True)
+            predicate, max_steps=400_000, check_interval=1)
         for engine in (Simulation, BatchedSimulation)
     ]
     assert rebuilds
     assert runs[0].satisfied
     assert (runs[1].satisfied, runs[1].steps) == (runs[0].satisfied, runs[0].steps)
     assert runs[1].configuration.states() == runs[0].configuration.states()
-
-
-@pytest.mark.parametrize("engine", [Simulation, BatchedSimulation])
-def test_backoff_caps_and_validates(engine):
-    protocol, population, initial, predicate = _backoff_ingredients()
-    run = engine(protocol, population, initial, rng=5).run_until(
-        predicate, max_steps=5_000, check_interval=16, check_backoff=True,
-        check_interval_cap=64,
-    )
-    # Interval path 16, 32, 64, 64, ...: executed steps follow that schedule.
-    assert run.steps <= 5_000
-    with pytest.raises(ValueError):
-        engine(protocol, population, initial, rng=5).run_until(
-            predicate, max_steps=100, check_interval=64, check_backoff=True,
-            check_interval_cap=8,
-        )
 
 
 def test_batched_step_reports_state_changes_and_counts():

@@ -67,9 +67,10 @@ def test_run_until_respects_budget_and_require_satisfied():
         result.require_satisfied()
 
 
-def test_run_until_rejects_bad_arguments():
+@pytest.mark.parametrize("engine", [Simulation, BatchedSimulation])
+def test_run_until_rejects_bad_arguments(engine):
     protocol, ring, configuration, _ = make_setup()
-    simulation = Simulation(protocol, ring, configuration, rng=4)
+    simulation = engine(protocol, ring, configuration, rng=4)
     with pytest.raises(ValueError):
         simulation.run_until(lambda states: True, max_steps=-1)
     with pytest.raises(ValueError):

@@ -77,7 +77,7 @@ class ScriptedServer:
                 return
             try:
                 connection.settimeout(5.0)
-                self.requests.append(connection.recv(1 << 16))
+                self.requests.append(_read_http_message(connection))
                 if script is not None:
                     connection.sendall(script)
             except OSError:

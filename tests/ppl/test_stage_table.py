@@ -144,15 +144,15 @@ def test_stage_tables_forced_past_their_bound_stay_bit_identical(monkeypatch):
     assert all(len(stage) <= SMALL_BOUND for stage in _stage_tables(batched._table))
 
 
-def test_backoff_schedule_survives_stage_table_clears(monkeypatch):
-    """The doubling check schedule on ``P_PL``, with the tables emptied
-    mid-run, stops where the step loop stops."""
+def test_run_until_survives_stage_table_clears(monkeypatch):
+    """A ``P_PL`` run checked every step, with the tables emptied mid-run,
+    stops where the step loop stops."""
     clears = _count_clears(monkeypatch)
     spec, protocol, population, initial = _ingredients()
     predicate = spec.build_stop_predicate(protocol, population)
     runs = [
         engine(protocol, population, initial, rng=5).run_until(
-            predicate, max_steps=400_000, check_interval=1, check_backoff=True)
+            predicate, max_steps=400_000, check_interval=1)
         for engine in (Simulation, BatchedSimulation)
     ]
     assert clears

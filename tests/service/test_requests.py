@@ -13,6 +13,7 @@ import pytest
 
 from repro.api.config import ExperimentConfig
 from repro.service.requests import JobRequest, ValidationError
+from repro.store.store import LEGACY_CONFIG_FIELDS
 
 
 def test_minimal_payload_fills_config_defaults():
@@ -28,14 +29,12 @@ def test_full_payload_round_trips_through_describe():
         "protocol": "fischer-jiang", "sizes": [16, 8], "trials": 5,
         "max_steps": 12345, "check_interval": 64, "kappa_factor": 2,
         "seed": 99, "engine": "step", "topology": "directed-ring",
-        "check_backoff": True,
     }
     request = JobRequest.from_payload(payload)
     described = request.describe()
     assert described["sizes"] == [8, 16]  # deduplicated and sorted
     for key in ("protocol", "trials", "max_steps", "check_interval",
-                "kappa_factor", "seed", "engine", "topology",
-                "check_backoff"):
+                "kappa_factor", "seed", "engine", "topology"):
         assert described[key] == payload[key]
 
 
@@ -66,7 +65,8 @@ def test_topology_string_and_params_merge():
     ({"protocol": "ppl", "trials": 0}, "'trials' must be >= 1"),
     ({"protocol": "ppl", "trials": "3"}, "must be an integer"),
     ({"protocol": "ppl", "seed": True}, "must be an integer"),
-    ({"protocol": "ppl", "check_backoff": 1}, "must be a boolean"),
+    # A retired config field is as unknown as any other key.
+    ({"protocol": "ppl", **LEGACY_CONFIG_FIELDS}, "unknown request key"),
     ({"protocol": "ppl", "topology": "torus:width=oops"}, "width"),
     ({"protocol": "ppl", "topology": "torus:width=3",
       "topology_params": {"width": 4}}, "both inline"),

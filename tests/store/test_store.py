@@ -46,7 +46,6 @@ def test_digest_is_stable_and_hex():
     {"seed": 7},
     {"max_steps": 999},
     {"check_interval": 64},
-    {"check_backoff": True},
     {"kappa_factor": 8},
     {"topology": "complete"},
     {"topology_params": (("degree", 3),)},
@@ -87,7 +86,11 @@ def test_canonical_config_tracks_future_fields():
     # The empty scenario is omitted by design: legacy configs keep the
     # digests they had before the scenario field existed.
     expected -= {"scenario"}
+    # A retired field stays in at its fixed value: the digests written
+    # while it existed hash it.
+    expected |= {"check_backoff"}
     assert set(payload) == expected
+    assert payload["check_backoff"] is False
 
 
 # ---------------------------------------------------------------------- #

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 import pytest
 
-from repro.api import spec_names
-from repro.cli import build_parser, main
+from repro.api import ExperimentConfig, spec_names
+from repro.api.builder import ExperimentBuilder
+from repro.cli import _config_from_args, build_parser, main
 from repro.core.configuration import Configuration
 
 
@@ -247,6 +249,31 @@ def test_bespoke_simulation_commands_reject_engine_flag(capsys):
         with pytest.raises(SystemExit):
             main([command, "--sizes", "8", "--engine", "batched"])
         assert "--engine does not apply" in capsys.readouterr().err
+
+
+def test_run_passes_every_sweep_flag_to_the_builder(monkeypatch):
+    """`run` builds each point's config through the fluent builder, so a
+    sweep flag the builder never receives would be silently ignored."""
+    argv = ["run", "angluin-modk", "--sizes", "9", "--trials", "2",
+            "--max-steps", "3000", "--check-interval", "7",
+            "--kappa-factor", "2", "--seed", "5", "--engine", "step",
+            "--topology", "torus:width=3,height=3",
+            "--scenario", "corrupt-recover:k=1", "--format", "json"]
+    expected = _config_from_args(build_parser().parse_args(argv))
+    default = ExperimentConfig()
+    assert all(getattr(expected, field.name) != getattr(default, field.name)
+               for field in dataclasses.fields(ExperimentConfig))
+    built = []
+    build_config = ExperimentBuilder.build_config
+
+    def recorded(self):
+        built.append(build_config(self))
+        return built[-1]
+
+    monkeypatch.setattr(ExperimentBuilder, "build_config", recorded)
+    assert main(argv) == 0
+    assert [dataclasses.replace(config, sizes=expected.sizes)
+            for config in built] == [expected]
 
 
 def test_run_with_family_and_workers(capsys):
